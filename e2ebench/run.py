@@ -52,9 +52,8 @@ def main():
     if args.make_reference:
         commit = subprocess.run(["git", "-C", ROOT, "rev-parse", "HEAD"],
                                 capture_output=True, text=True).stdout.strip()
-        cmd = [binary, "--root", ROOT, "--threads", "4",
+        cmd = [binary, "--root", ROOT,
                "--make-reference", os.path.join(HERE, "reference.json"),
-               "--command", "python3 e2ebench/run.py --make-reference",
                "--commit", commit or "unknown"]
         return subprocess.run(cmd).returncode
 

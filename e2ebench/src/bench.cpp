@@ -204,7 +204,7 @@ struct CallResult {
   }
 };
 
-std::uint64_t optimizer_seed(const RunConfig& config) {
+const Reference::SeedRun& optimizer_seed(const RunConfig& config) {
   const auto& seeds = config.reference.ex2_seeds;
   return seeds[config.seed % seeds.size()];
 }
@@ -233,7 +233,7 @@ CallResult call_workload(const RunConfig& config, Instance& inst,
   moheco::core::MohecoOptions options;
   options.population = kEx2Population;
   options.max_generations = kEx2Generations;
-  options.seed = optimizer_seed(config);
+  options.seed = optimizer_seed(config).seed;
   moheco::core::MohecoResult result;
   try {
     moheco::core::MohecoOptimizer optimizer(problem, options, *inst.scheduler);
@@ -400,8 +400,10 @@ Reference parse_reference(const JsonValue& json) {
   r.ex1_samples = ex1["samples"].as_int();
   const JsonValue& ex2 = json["ex2-opt"];
   r.ex2_design = numbers(ex2["design"], "ex2-opt design");
-  for (const JsonValue& s : ex2["seeds"].items()) {
-    r.ex2_seeds.push_back(s.as_uint());
+  for (const JsonValue& s : ex2["seed_runs"].items()) {
+    r.ex2_seeds.push_back({s["seed"].as_uint(), s["sims"].as_int()});
+    moheco::require(r.ex2_seeds.back().sims > 0,
+                    "reference.json: ex2-opt seed run without simulations");
   }
   moheco::require(!r.ex2_seeds.empty(), "reference.json: no ex2-opt seeds");
   moheco::require(r.ota5t_samples > 0 && r.ex1_samples > 0 &&
@@ -573,8 +575,15 @@ RunOutcome run_benchmark(const RunConfig& config) {
   // --- Metrics.
   const double n_calls = static_cast<double>(std::max<std::size_t>(calls.size(), 1));
   const double sims = static_cast<double>(out.attempted);
+  // Work the input fixes per call.  An optimizer run's simulation count is
+  // an outcome, so ex2-opt counts the simulations stored for its seed: its
+  // sims_per_s is result_s inverted and never rewards spending more.
+  const double work_per_call =
+      config.workload == Workload::kEx2Opt
+          ? static_cast<double>(optimizer_seed(config).sims)
+          : static_cast<double>(spec.samples_per_call);
   auto& m = out.metrics;
-  m["sims_per_s"] = ratio(sims, wall);
+  m["sims_per_s"] = ratio(work_per_call * static_cast<double>(calls.size()), wall);
   m["result_s"] = wall / n_calls;
   m["result_cpu_s"] = cpu / n_calls;
   m["setup_s"] = median(setup_s);
@@ -681,7 +690,7 @@ RunOutcome run_benchmark(const RunConfig& config) {
   id.add_int("threads", spec.threads);
   id.add_bool("trace", config.trace);
   if (config.workload == Workload::kEx2Opt) {
-    id.add_uint("optimizer_seed", optimizer_seed(config));
+    id.add_uint("optimizer_seed", optimizer_seed(config).seed);
   } else {
     id.add_uint("sample_seed", sample_seed(config));
     id.add_int("samples_per_call", spec.samples_per_call);
@@ -721,11 +730,14 @@ std::string result_line(const RunOutcome& outcome, bool trace) {
   return line.str();
 }
 
-std::string make_reference(const std::string& deck_text, int threads,
-                           const std::string& command,
+std::string make_reference(const std::string& deck_text,
                            const std::string& commit) {
   constexpr long long kSamples = 20000;
-  moheco::ThreadPool pool(threads);
+  // Reference yields do not depend on the thread count; 4 only sets how
+  // long regeneration takes.
+  constexpr int kThreads = 4;
+  constexpr const char* kCommand = "python3 e2ebench/run.py --make-reference";
+  moheco::ThreadPool pool(kThreads);
   mc::EvalScheduler scheduler(pool);
 
   circuits::NetlistYieldProblem ota(
@@ -804,18 +816,16 @@ std::string make_reference(const std::string& deck_text, int threads,
       best_n = hi - lo;
     }
   }
-  std::vector<double> seeds;
   std::vector<std::string> kept;
   for (std::size_t i = best_lo; i < best_lo + best_n; ++i) {
     JsonObject s;
     s.add_uint("seed", candidates[i].first);
     s.add_int("sims", candidates[i].second);
     kept.push_back(s.str());
-    seeds.push_back(static_cast<double>(candidates[i].first));
   }
 
   JsonObject provenance;
-  provenance.add_string("command", command);
+  provenance.add_string("command", kCommand);
   provenance.add_string("commit", commit);
   JsonObject o;
   o.add_int("samples", kSamples);
@@ -827,7 +837,6 @@ std::string make_reference(const std::string& deck_text, int threads,
   e1.add_raw("design", json_array(ex1_x));
   JsonObject e2;
   e2.add_raw("design", json_array(ex2_x));
-  e2.add_raw("seeds", json_array(seeds));
   e2.add_raw("seed_runs", join_array(kept));
   JsonObject root;
   root.add_raw("provenance", provenance.str());

@@ -28,7 +28,13 @@ struct Reference {
   double ex1_yield = 0.0;
   long long ex1_samples = 0;
   std::vector<double> ex2_design;
-  std::vector<std::uint64_t> ex2_seeds;
+  /// A vetted optimizer seed and the simulations its run spent when the
+  /// reference was made: the fixed unit of work behind ex2-opt sims_per_s.
+  struct SeedRun {
+    std::uint64_t seed = 0;
+    long long sims = 0;
+  };
+  std::vector<SeedRun> ex2_seeds;
   std::string command;
   std::string commit;
 };
@@ -73,9 +79,9 @@ RunOutcome run_benchmark(const RunConfig& config);
 std::string result_line(const RunOutcome& outcome, bool trace);
 
 /// Writes reference.json for the stored inputs: reference yields at the
-/// stored designs and the vetted ex2-opt optimizer seeds.
-std::string make_reference(const std::string& deck_text, int threads,
-                           const std::string& command,
+/// stored designs and the vetted ex2-opt optimizer seeds.  `commit` is the
+/// source revision recorded as their provenance.
+std::string make_reference(const std::string& deck_text,
                            const std::string& commit);
 
 }  // namespace e2ebench

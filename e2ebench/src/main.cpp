@@ -2,8 +2,7 @@
 //
 //   e2ebench --root DIR --workload NAME --seed N --seconds S --trace 0|1
 //            [--trace-out FILE]
-//   e2ebench --root DIR --make-reference FILE [--threads T]
-//            [--command TEXT] [--commit SHA]
+//   e2ebench --root DIR --make-reference FILE [--commit SHA]
 //
 // DIR is the repository checkout (examples/five_t_ota.cir and
 // e2ebench/reference.json are read from it).  The last stdout line is the
@@ -36,7 +35,7 @@ std::string read_file(const std::string& path) {
                "ota5t-mc|ex2-opt|ex1-tran-mc --seed N --seconds S "
                "--trace 0|1 [--trace-out FILE]\n"
                "       e2ebench --root DIR --make-reference FILE "
-               "[--threads T] [--command TEXT] [--commit SHA]\n",
+               "[--commit SHA]\n",
                problem.c_str());
   std::exit(2);
 }
@@ -54,11 +53,9 @@ long long parse_int(const std::string& flag, const std::string& text,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string root = ".", workload, trace_out, reference_out;
-  std::string command = "e2ebench --make-reference", commit;
+  std::string root = ".", workload, trace_out, reference_out, commit;
   e2ebench::RunConfig config;
   bool have_seed = false, have_seconds = false, have_trace = false;
-  int threads = 4;
   for (int i = 1; i < argc; i += 2) {
     const std::string flag = argv[i];
     if (i + 1 >= argc) usage("missing value for " + flag);
@@ -77,8 +74,6 @@ int main(int argc, char** argv) {
       have_trace = true;
     } else if (flag == "--trace-out") trace_out = value;
     else if (flag == "--make-reference") reference_out = value;
-    else if (flag == "--threads") threads = static_cast<int>(parse_int(flag, value, 1, 64));
-    else if (flag == "--command") command = value;
     else if (flag == "--commit") commit = value;
     else usage("unknown flag " + flag);
   }
@@ -87,8 +82,7 @@ int main(int argc, char** argv) {
     const std::string deck_text = read_file(root + "/examples/five_t_ota.cir");
     if (!reference_out.empty()) {
       std::ofstream out(reference_out);
-      out << e2ebench::make_reference(deck_text, threads, command, commit)
-          << '\n';
+      out << e2ebench::make_reference(deck_text, commit) << '\n';
       if (!out) throw moheco::Error("cannot write " + reference_out);
       return 0;
     }
