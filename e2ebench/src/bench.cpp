@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "span_recorder.hpp"
 #include "src/circuits/circuit_yield.hpp"
@@ -73,10 +75,18 @@ double cpu_seconds() {
          static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6;
 }
 
+/// High-water RSS of this process image.  Not getrusage's ru_maxrss: Linux
+/// carries that across execve, so it would report the larger RSS of the
+/// launcher that forked this process.
 double peak_rss_mb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // in kB
+    }
+  }
+  throw moheco::Error("no VmHWM in /proc/self/status");
 }
 
 double median(std::vector<double> v) {
