@@ -283,5 +283,24 @@ TEST(Metrics, ShortOta5tRunsPassTheirChecksInBothModes) {
   }
 }
 
+// An optimizer run's simulation count is an outcome, so ex2-opt's rate is
+// the work stored for its seed over the time per call, not the work spent.
+TEST(Metrics, Ex2SimsPerSecondCountsTheStoredWorkOfItsSeed) {
+  const auto reference = moheco::parse_json(
+      read_file(std::string(E2EBENCH_ROOT) + "/e2ebench/reference.json"));
+  ASSERT_TRUE(reference.has_value());
+  RunConfig config;
+  config.workload = Workload::kEx2Opt;
+  config.seed = 1;
+  config.seconds = 0;  // one optimizer run
+  config.reference = parse_reference(*reference);
+  const RunOutcome out = run_benchmark(config);
+  EXPECT_TRUE(out.correct) << out.identity_json;
+  const auto& seeds = config.reference.ex2_seeds;
+  const double stored = static_cast<double>(seeds[config.seed % seeds.size()].sims);
+  EXPECT_NEAR(out.metrics.at("sims_per_s") * out.metrics.at("result_s"),
+              stored, 1e-6 * stored);
+}
+
 }  // namespace
 }  // namespace e2ebench
