@@ -29,8 +29,8 @@
 //   - per-sample solutions must be BIT-identical to the scalar path for
 //     K in {2, 4, 8} (the all-lanes-nonzero fast path must not flip signed
 //     zeros, lanes must never mix);
-//   - EvalScheduler yield tallies over a sparse-backend circuit problem
-//     must be identical across batch widths and thread counts;
+//   - EvalScheduler yield tallies over a circuit problem must be
+//     identical across batch widths and thread counts;
 //   - samples/sec at K=8 must be >= 2x the scalar warm path, and >= 3x
 //     when the wide (4/8-lane) kernels dispatch (the acceptance gates for
 //     the SoA kernels);
@@ -225,13 +225,12 @@ spice::Netlist tran_grid(int side) {
   return n;
 }
 
-/// EvalScheduler yield tallies for a sparse-backend circuit problem at one
-/// (batch width, thread count) combination.
+/// EvalScheduler yield tallies for a circuit problem at one (batch width,
+/// thread count) combination.
 std::vector<long long> circuit_tallies(int batch, int workers,
                                        int per_candidate, int rounds,
                                        std::uint64_t seed) {
   circuits::EvalOptions eval;
-  eval.backend = spice::SolverBackend::kSparse;
   eval.batch = batch;
   const circuits::CircuitYieldProblem problem(
       circuits::make_five_transistor_ota(), eval);
@@ -283,7 +282,7 @@ int main(int argc, char** argv) {
   const int timing_reps = smoke ? 5 : 5;
 
   spice::MnaSystem<double> sys;
-  sys.reset(grid.n, spice::SolverBackend::kSparse);
+  sys.reset(grid.n);
   // Capture the pattern and the symbolic analysis (one cold factorization);
   // everything after this is the warm path both modes share.
   run_scalar(grid, sys, /*first=*/0, /*count=*/1, nullptr);
@@ -425,7 +424,7 @@ int main(int argc, char** argv) {
                              std::to_string(grid.n) + ")");
 
   // --- Gate 3: scheduler tally identity across batch widths and thread
-  // counts on a real sparse-backend circuit problem. ---
+  // counts on a real circuit problem. ---
   const int per_candidate = smoke ? 24 : 60;
   const int rounds = 2;
   bool tallies_ok = true;
@@ -471,8 +470,8 @@ int main(int argc, char** argv) {
           1e-12 * (1.0 + 0.05 * static_cast<double>(lane % 3));
     }
   };
-  spice::TranSolver tran(ladder, spice::SolverBackend::kSparse);
-  spice::DcSolver tran_dc(ladder, spice::SolverBackend::kSparse);
+  spice::TranSolver tran(ladder);
+  spice::DcSolver tran_dc(ladder);
   spice::TranOptions tran_options;
   tran_options.t_stop = smoke ? 40e-9 : 50e-9;
   const std::size_t tran_lanes = 8;

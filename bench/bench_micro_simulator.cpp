@@ -1,8 +1,8 @@
 // Micro benchmarks (google-benchmark) for the substrate: one MC sample
-// (DC + AC + extraction) on both example circuits, the DC solve alone under
-// each linear-solve backend, the dense LU factorization, the sparse
-// refactor+solve hot path on generated ladders, and the OCBA allocation
-// step.
+// (DC + AC + extraction) on both example circuits, the warm DC solve alone,
+// the dense LU factorization (the sparse_to_dense degradation rung), the
+// sparse refactor+solve hot path on generated ladders, and the OCBA
+// allocation step.
 #include <benchmark/benchmark.h>
 
 #include "src/circuits/circuit_yield.hpp"
@@ -63,11 +63,9 @@ void BM_McSampleTelescopic(benchmark::State& state) {
 BENCHMARK(BM_McSampleTelescopic);
 
 void BM_DcSolveFoldedCascode(benchmark::State& state) {
-  const auto backend = state.range(0) == 0 ? spice::SolverBackend::kDense
-                                           : spice::SolverBackend::kSparse;
   auto topo = circuits::make_folded_cascode();
   circuits::BuiltCircuit circuit = topo->build(folded_x0());
-  spice::DcSolver solver(circuit.netlist, backend);
+  spice::DcSolver solver(circuit.netlist);
   spice::DcOptions options;
   std::vector<double> warm;
   solver.solve(options, &warm);  // nominal solution for warm starts
@@ -75,22 +73,19 @@ void BM_DcSolveFoldedCascode(benchmark::State& state) {
     std::vector<double> x = warm;
     benchmark::DoNotOptimize(solver.solve(options, &x));
   }
-  state.SetLabel(to_string(solver.backend()));
 }
-BENCHMARK(BM_DcSolveFoldedCascode)->Arg(0)->Arg(1);
+BENCHMARK(BM_DcSolveFoldedCascode);
 
-// Steady-state assemble + factor + solve on the RC ladder, per backend:
-// the sparse path reuses its symbolic analysis, which is what the inner
-// Monte-Carlo loop pays per sample on large systems.
+// Steady-state assemble + factor + solve on the RC ladder: the sparse path
+// reuses its symbolic analysis, which is what the inner Monte-Carlo loop
+// pays per sample.
 void BM_LadderSolve(benchmark::State& state) {
-  const auto backend = state.range(1) == 0 ? spice::SolverBackend::kDense
-                                           : spice::SolverBackend::kSparse;
   spice::LadderSpec spec;
   spec.sections = static_cast<int>(state.range(0));
   const spice::Netlist netlist = make_rc_ladder(spec);
   const spice::MnaLayout layout(netlist);
   spice::MnaSystem<double> sys;
-  sys.reset(layout.size(), backend);
+  sys.reset(layout.size());
   std::vector<double> x;
   for (auto _ : state) {
     sys.begin_assembly();
@@ -106,14 +101,8 @@ void BM_LadderSolve(benchmark::State& state) {
     sys.solve(x);
     benchmark::DoNotOptimize(x.data());
   }
-  state.SetLabel(to_string(sys.backend()));
 }
-BENCHMARK(BM_LadderSolve)
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({500, 0})
-    ->Args({500, 1})
-    ->Args({2000, 1});
+BENCHMARK(BM_LadderSolve)->Arg(100)->Arg(500)->Arg(2000);
 
 void BM_DenseLu(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -123,9 +123,8 @@ AmplifierEvaluator::Session::Session(const AmplifierEvaluator& parent,
   for (const auto& m : circuit_.netlist.mosfets()) {
     base_cards_.push_back(m.model);
   }
-  const spice::SolverBackend backend = parent.options().backend;
-  dc_ = std::make_unique<spice::DcSolver>(circuit_.netlist, backend);
-  ac_ = std::make_unique<spice::AcSolver>(circuit_.netlist, backend);
+  dc_ = std::make_unique<spice::DcSolver>(circuit_.netlist);
+  ac_ = std::make_unique<spice::AcSolver>(circuit_.netlist);
   if (parent.options().transient) {
     step_circuit_ = std::make_unique<BuiltCircuit>(
         parent.topology().build(x, Testbench::kStepBuffer));
@@ -134,10 +133,8 @@ AmplifierEvaluator::Session::Session(const AmplifierEvaluator& parent,
             "Session: step testbench transistor count mismatch");
     require(step_circuit_->step.source >= 0,
             "Session: step testbench has no stimulus");
-    step_dc_ =
-        std::make_unique<spice::DcSolver>(step_circuit_->netlist, backend);
-    tran_ =
-        std::make_unique<spice::TranSolver>(step_circuit_->netlist, backend);
+    step_dc_ = std::make_unique<spice::DcSolver>(step_circuit_->netlist);
+    tran_ = std::make_unique<spice::TranSolver>(step_circuit_->netlist);
   }
   if (blob.empty()) {
     nominal_perf_ = measure(/*is_nominal=*/true);
@@ -279,8 +276,8 @@ void AmplifierEvaluator::Session::evaluate_batch(std::span<const double> xis,
           "Session::evaluate_batch: samples not a whole number of lanes");
   auto lane_xi = [&](std::size_t l) { return xis.subspan(l * dim, dim); };
 
-  // Scalar loop when batching cannot engage: single lane, dense backend, or
-  // a warm-blob-revived session whose solvers have not yet analyzed their
+  // Scalar loop when batching cannot engage: single lane, or a
+  // warm-blob-revived session whose solvers have not yet analyzed their
   // patterns (the first scalar sample does that; later batches engage).
   if (lanes == 1 || dim == 0 || !have_nominal_solution_ ||
       !dc_->batch_ready() || !ac_->batch_ready()) {

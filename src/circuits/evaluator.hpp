@@ -42,27 +42,19 @@ namespace moheco::circuits {
 /// Core evaluation configuration: the one knob set shared by the CLI, the
 /// daemon, the benches and the problem layers.  Entry points build a single
 /// EvalConfig from their flags and thread it unchanged through
-/// EvalOptions / MohecoOptions to every evaluation site, replacing the
-/// loose (bool transient, SolverBackend) parameter scatter.
+/// EvalOptions / MohecoOptions to every evaluation site.
 struct EvalConfig {
   /// Also build the step-buffer testbench and run a transient per
   /// evaluation, filling Performance::slew_rate / settling_time.  Off by
   /// default: a transient costs ~100x a DC+AC evaluation, so yield flows
   /// opt in explicitly.
   bool transient = false;
-  /// Linear-solve backend for all of a Session's solvers.  Perturbing model
-  /// cards never changes the MNA pattern, so on the sparse backend one
-  /// symbolic analysis per solver serves every process sample the Session
-  /// evaluates.
-  spice::SolverBackend backend = spice::SolverBackend::kAuto;
   /// Monte-Carlo batch width K: the scheduler hands each worker K-sample
   /// blocks of one candidate and Sessions evaluate them through the SoA
   /// batched solvers (Session::evaluate_batch).  1 (the default) keeps the
   /// scalar per-sample path; any width produces bit-identical per-sample
-  /// results, so tallies are independent of K.  Only the sparse backend
-  /// actually batches -- dense/auto-resolved-dense sessions fall back to
-  /// the scalar loop internally.  kBatchAuto (0) autoselects; consumers
-  /// resolve it through resolve_batch().
+  /// results, so tallies are independent of K.  kBatchAuto (0)
+  /// autoselects; consumers resolve it through resolve_batch().
   int batch = 1;
 
   /// `batch` sentinel meaning "autoselect the width for this host".
@@ -121,16 +113,15 @@ class AmplifierEvaluator {
     /// [l * process().dim(), (l + 1) * process().dim())) and `out` receives
     /// one Performance per lane.
     ///
-    /// On the sparse backend (with the nominal state in place) the lanes
-    /// run through the batched SoA solvers: one lockstep Newton DC solve,
-    /// then a lockstep AC gain-bandwidth search where finished lanes freeze
-    /// while the rest keep probing, then the per-lane transients.  Results
-    /// are bit-identical to calling evaluate() on each lane in order -- any
+    /// With the nominal state in place the lanes run through the batched
+    /// SoA solvers: one lockstep Newton DC solve, then a lockstep AC
+    /// gain-bandwidth search where finished lanes freeze while the rest
+    /// keep probing, then the per-lane transients.  Results are
+    /// bit-identical to calling evaluate() on each lane in order -- any
     /// lane that leaves the shared warm path (pivot breakdown,
     /// non-convergence) demotes the whole batch to exactly that scalar
-    /// loop.  Dense-backend sessions and warm-blob-revived sessions whose
-    /// solvers have not yet captured a pattern use the scalar loop
-    /// directly.
+    /// loop.  Warm-blob-revived sessions whose solvers have not yet
+    /// captured a pattern use the scalar loop directly.
     void evaluate_batch(std::span<const double> xis, std::size_t lanes,
                         std::span<Performance> out);
 

@@ -96,7 +96,6 @@ void print_usage() {
                "evaluation:\n"
                "  --transient           step-bench transient per sample (deck needs\n"
                "                        a .probe step card)\n"
-               "  --backend=dense|sparse|auto\n"
                "  --batch=K             evaluate K MC samples per solver batch\n"
                "                        (SoA kernels; tallies identical at any\n"
                "                        K; 0 autoselects the host width)\n"
@@ -243,16 +242,6 @@ CliOptions parse_cli(int argc, char** argv) {
       }
     } else if (arg == "--transient") {
       cli.eval.transient = true;
-    } else if (key == "--backend") {
-      if (value == "dense") {
-        cli.eval.backend = spice::SolverBackend::kDense;
-      } else if (value == "sparse") {
-        cli.eval.backend = spice::SolverBackend::kSparse;
-      } else if (value == "auto") {
-        cli.eval.backend = spice::SolverBackend::kAuto;
-      } else {
-        throw InvalidArgument("moheco_cli: unknown backend in '" + arg + "'");
-      }
     } else if (key == "--batch") {
       cli.eval.batch = need_int32(arg, value);
       const std::string err =

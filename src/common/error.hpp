@@ -36,7 +36,12 @@ class LinalgError : public Error {
   explicit LinalgError(const std::string& what) : Error(what) {}
 };
 
-/// Throws InvalidArgument with `message` when `condition` is false.
+/// Throws InvalidArgument with `message` when `condition` is false.  The
+/// literal overload builds the message only on failure, so a passing check
+/// on a hot path costs a branch rather than a std::string construction.
+inline void require(bool condition, const char* message) {
+  if (!condition) [[unlikely]] throw InvalidArgument(message);
+}
 void require(bool condition, const std::string& message);
 
 }  // namespace moheco

@@ -1,9 +1,7 @@
-// Dense row-major matrix and vector types used by the MNA solver, the
-// Levenberg-Marquardt trainer and the least-squares fits.
-//
-// Small circuit matrices (tens of unknowns) stay on this dense
-// representation, where LU's constant factors beat any sparse scheme;
-// larger MNA systems use src/linalg/sparse.hpp (see spice::SolverBackend).
+// Dense row-major matrix and vector types used by the Levenberg-Marquardt
+// trainer, the least-squares fits and the MNA system's dense-LU
+// degradation rung.  Assembled MNA systems themselves are stored and
+// factored sparse (src/linalg/sparse.hpp).
 #pragma once
 
 #include <complex>

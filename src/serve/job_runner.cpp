@@ -40,8 +40,7 @@ std::string warm_fingerprint(const JobSpec& spec) {
   // session's nominal state, which is computed on the scalar path and is
   // identical at every batch width, so runs at different K share blobs.
   std::ostringstream oss;
-  oss << "warm1 transient=" << (spec.eval.transient ? 1 : 0)
-      << " backend=" << static_cast<int>(spec.eval.backend);
+  oss << "warm1 transient=" << (spec.eval.transient ? 1 : 0);
   return oss.str();
 }
 

@@ -9,22 +9,9 @@
 
 #include "src/common/error.hpp"
 #include "src/common/failpoint.hpp"
-#include "src/spice/mna.hpp"
 #include "src/stats/samplers.hpp"
 
 namespace moheco::serve {
-
-namespace {
-
-bool parse_backend(const std::string& text, spice::SolverBackend* out) {
-  if (text == "dense") *out = spice::SolverBackend::kDense;
-  else if (text == "sparse") *out = spice::SolverBackend::kSparse;
-  else if (text == "auto") *out = spice::SolverBackend::kAuto;
-  else return false;
-  return true;
-}
-
-}  // namespace
 
 std::string encode_submit(const JobSpec& spec, const std::string& tag) {
   const core::MohecoOptions& m = spec.moheco;
@@ -40,7 +27,6 @@ std::string encode_submit(const JobSpec& spec, const std::string& tag) {
   options.add_bool("overlap", m.overlap_generations);
   options.add_int("estimate_samples", spec.estimate_samples);
   options.add_bool("transient", spec.eval.transient);
-  options.add_string("backend", spice::to_string(spec.eval.backend));
   options.add_int("batch", spec.eval.batch);
   options.add_bool("sized_deck", spec.want_sized_deck);
   // Only when set: keeps default submits byte-identical to older clients.
@@ -123,8 +109,11 @@ bool decode_submit(const JsonValue& request, JobSpec* spec, std::string* tag,
     } else if (key == "transient") {
       spec->eval.transient = value.as_bool();
     } else if (key == "backend") {
+      // Retired option (every system now solves through sparse LU): the
+      // old values are accepted and ignored for one release.
       if (!value.is_string() ||
-          !parse_backend(value.as_string(), &spec->eval.backend)) {
+          (value.as_string() != "dense" && value.as_string() != "sparse" &&
+           value.as_string() != "auto")) {
         *error = "options.backend must be \"dense\", \"sparse\" or \"auto\"";
         return false;
       }

@@ -8,16 +8,15 @@ namespace moheco::spice {
 
 using Complex = std::complex<double>;
 
-AcSolver::AcSolver(const Netlist& netlist, SolverBackend backend)
+AcSolver::AcSolver(const Netlist& netlist)
     : netlist_(netlist), layout_(netlist) {
-  sys_.reset(layout_.size(), backend);
+  sys_.reset(layout_.size());
   mos_.resize(netlist.mosfets().size());
   solution_.assign(layout_.size(), Complex{});
 }
 
-AcSolver::AcSolver(const Netlist& netlist, const OperatingPoint& op,
-                   SolverBackend backend)
-    : AcSolver(netlist, backend) {
+AcSolver::AcSolver(const Netlist& netlist, const OperatingPoint& op)
+    : AcSolver(netlist) {
   prepare(op);
 }
 

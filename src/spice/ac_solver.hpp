@@ -24,12 +24,10 @@ namespace moheco::spice {
 class AcSolver {
  public:
   /// Binds to `netlist`; call prepare() before the first solve().
-  explicit AcSolver(const Netlist& netlist,
-                    SolverBackend backend = SolverBackend::kAuto);
+  explicit AcSolver(const Netlist& netlist);
   /// Convenience: bind and prepare in one step.  `op` must come from a
   /// DcSolver on the same netlist.
-  AcSolver(const Netlist& netlist, const OperatingPoint& op,
-           SolverBackend backend = SolverBackend::kAuto);
+  AcSolver(const Netlist& netlist, const OperatingPoint& op);
 
   /// Re-linearizes the MOSFETs at `op` (small-signal conductances and
   /// terminal capacitances).  Cheap: the MNA pattern and any cached
@@ -44,9 +42,6 @@ class AcSolver {
   std::complex<double> voltage(NodeId n) const;
   /// V(np) - V(nn).
   std::complex<double> differential(NodeId np, NodeId nn) const;
-
-  /// Resolved linear-solve backend (never kAuto).
-  SolverBackend backend() const { return sys_.backend(); }
 
   // --- Batched (SoA) frequency probes across Monte-Carlo lanes ----------
   //
@@ -67,8 +62,8 @@ class AcSolver {
   // is dead and the caller must redo the lanes through scalar solve()
   // in lane order.
 
-  /// True when batching is available: sparse backend with a pattern and
-  /// symbolic analysis captured by a prior scalar solve().
+  /// True when batching is available: a pattern and symbolic analysis
+  /// captured by a prior scalar solve().
   bool batch_ready() const { return sys_.batch_ready(); }
   /// Opens a K-lane batch (requires batch_ready()).  Scalar solve() is
   /// unavailable until end_batch().

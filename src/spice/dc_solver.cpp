@@ -17,10 +17,10 @@ const char* to_string(SolveStatus status) {
   return "?";
 }
 
-DcSolver::DcSolver(const Netlist& netlist, SolverBackend backend)
+DcSolver::DcSolver(const Netlist& netlist)
     : netlist_(netlist), layout_(netlist) {
   netlist.validate();
-  sys_.reset(layout_.size(), backend);
+  sys_.reset(layout_.size());
 }
 
 std::uint64_t DcSolver::pattern_key() const {
@@ -38,7 +38,6 @@ std::uint64_t DcSolver::pattern_key() const {
   mix(netlist_.vsources().size());
   mix(netlist_.isources().size());
   mix(netlist_.vcvs().size());
-  mix(static_cast<std::uint64_t>(sys_.backend()));
   return h;
 }
 

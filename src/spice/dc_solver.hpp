@@ -69,12 +69,10 @@ struct OperatingPoint {
 
 class DcSolver {
  public:
-  /// `backend` selects the linear-solve path (kAuto: dense below
-  /// kSparseAutoThreshold unknowns, sparse above).  The sparse backend's
-  /// symbolic analysis is computed once per netlist pattern and reused by
-  /// every Newton iteration and every solve() call on this instance.
-  explicit DcSolver(const Netlist& netlist,
-                    SolverBackend backend = SolverBackend::kAuto);
+  /// The sparse LU's symbolic analysis is computed once per netlist
+  /// pattern and reused by every Newton iteration and every solve() call
+  /// on this instance.
+  explicit DcSolver(const Netlist& netlist);
 
   /// Solves for the operating point.  If `warm_start` is non-null and sized
   /// correctly it seeds the Newton iteration (and receives the solution).
@@ -94,8 +92,8 @@ class DcSolver {
   /// Returns true only when EVERY lane converged on that warm path with
   /// pure numeric refactorizations; `ops` then holds the per-lane operating
   /// points, identical to scalar solve() results.  Returns false -- leaving
-  /// no observable solver state -- when batching is unavailable (dense
-  /// backend, no captured analysis) or any lane needs the fallback ladder
+  /// no observable solver state -- when batching is unavailable (no
+  /// captured analysis) or any lane needs the fallback ladder
   /// (pivot breakdown, non-convergence, non-finite iterate): the caller
   /// must then evaluate the lanes sequentially through solve(), which
   /// reproduces the scalar path's evaluation-order semantics exactly
@@ -107,18 +105,16 @@ class DcSolver {
 
   const OperatingPoint& op() const { return op_; }
   const MnaLayout& layout() const { return layout_; }
-  /// Resolved linear-solve backend (never kAuto).
-  SolverBackend backend() const { return sys_.backend(); }
-  /// True when solve_batch() can run: sparse backend with a pattern and
-  /// symbolic analysis captured by a prior scalar solve().
+  /// True when solve_batch() can run: a pattern and symbolic analysis
+  /// captured by a prior scalar solve().
   bool batch_ready() const { return sys_.batch_ready(); }
 
-  /// Structural fingerprint of the assembled system (unknown layout, device
-  /// counts, resolved backend).  A serialized warm-start solution is only
-  /// valid for a solver with the same key: the evaluator embeds it in its
-  /// warm-start blob and rejects blobs whose key does not match, so a blob
-  /// captured under a different netlist structure or backend can never seed
-  /// a Newton iteration with a mis-shaped vector.
+  /// Structural fingerprint of the assembled system (unknown layout and
+  /// device counts).  A serialized warm-start solution is only valid for a
+  /// solver with the same key: the evaluator embeds it in its warm-start
+  /// blob and rejects blobs whose key does not match, so a blob captured
+  /// under a different netlist structure can never seed a Newton iteration
+  /// with a mis-shaped vector.
   std::uint64_t pattern_key() const;
 
   /// Newton iterations used by the last solve (across all continuation

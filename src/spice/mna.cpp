@@ -29,40 +29,20 @@ MnaLayout::MnaLayout(const Netlist& netlist) {
   size_ = next;
 }
 
-const char* to_string(SolverBackend backend) {
-  switch (backend) {
-    case SolverBackend::kDense: return "dense";
-    case SolverBackend::kSparse: return "sparse";
-    case SolverBackend::kAuto: return "auto";
-  }
-  return "?";
-}
-
-SolverBackend resolve_backend(SolverBackend requested, std::size_t n) {
-  if (requested != SolverBackend::kAuto) return requested;
-  return n >= kSparseAutoThreshold ? SolverBackend::kSparse
-                                   : SolverBackend::kDense;
-}
-
 template <typename Scalar>
-void MnaSystem<Scalar>::reset(std::size_t n, SolverBackend backend) {
+void MnaSystem<Scalar>::reset(std::size_t n) {
   n_ = n;
-  sparse_ = resolve_backend(backend, n) == SolverBackend::kSparse;
   pattern_ready_ = false;
   dense_fallback_ = false;
   rhs_.assign(n, Scalar{});
-  if (sparse_) {
-    builder_.reset(n);
-    capture_values_.clear();
-    slots_.clear();
-    sparse_a_ = {};
-    sparse_lu_ = {};
-    batch_lanes_ = 0;
-    lane_scratch_.clear();
-    batch_rhs_.clear();
-  } else {
-    dense_a_.reset(n, n);
-  }
+  builder_.reset(n);
+  capture_values_.clear();
+  slots_.clear();
+  sparse_a_ = {};
+  sparse_lu_ = {};
+  batch_lanes_ = 0;
+  lane_scratch_.clear();
+  batch_rhs_.clear();
 }
 
 template <typename Scalar>
@@ -70,20 +50,12 @@ void MnaSystem<Scalar>::begin_assembly() {
   require(batch_lanes_ == 0,
           "MnaSystem: scalar assembly inside an open batch (end_batch first)");
   std::fill(rhs_.begin(), rhs_.end(), Scalar{});
-  if (!sparse_) {
-    dense_a_.fill(Scalar{});
-    return;
-  }
   cursor_ = 0;
   if (pattern_ready_) sparse_a_.clear_values();
 }
 
 template <typename Scalar>
 void MnaSystem<Scalar>::add_cold(int r, int c, Scalar v) {
-  if (!sparse_) {
-    dense_a_(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) += v;
-    return;
-  }
   builder_.add(r, c);
   capture_values_.push_back(v);
 }
@@ -96,7 +68,6 @@ void MnaSystem<Scalar>::replay_overflow() const {
 
 template <typename Scalar>
 void MnaSystem<Scalar>::end_assembly() {
-  if (!sparse_) return;
   if (!pattern_ready_) {
     sparse_a_ = builder_.template finalize<Scalar>(&slots_);
     for (std::size_t i = 0; i < capture_values_.size(); ++i) {
@@ -115,8 +86,8 @@ void MnaSystem<Scalar>::end_assembly() {
 
 template <typename Scalar>
 void MnaSystem<Scalar>::begin_batch(std::size_t lanes) {
-  require(batch_ready(), "MnaSystem::begin_batch: batched assembly needs the "
-                         "sparse backend with an analyzed captured pattern");
+  require(batch_ready(), "MnaSystem::begin_batch: batched assembly needs an "
+                         "analyzed captured pattern");
   require(lanes > 0, "MnaSystem::begin_batch: need at least one lane");
   batch_lanes_ = lanes;
   batch_lane_ = 0;
@@ -210,10 +181,6 @@ bool MnaSystem<Scalar>::factor() {
   factors.add(1);
   obs::ScopedTimer timer(factor_us);
   dense_fallback_ = false;
-  if (!sparse_) {
-    if (fail::should_fail(fail::Site::kDenseFactor)) return false;
-    return dense_lu_.factor(dense_a_);
-  }
   require(pattern_ready_, "MnaSystem::factor: no assembly captured");
   if (!fail::should_fail(fail::Site::kSparseFactor) &&
       sparse_lu_.factor_with_reuse(sparse_a_)) {
@@ -235,7 +202,7 @@ template <typename Scalar>
 void MnaSystem<Scalar>::solve(std::vector<Scalar>& b) const {
   static obs::Counter& solves = obs::registry().counter("solver.solves");
   solves.add(1);
-  if (!sparse_ || dense_fallback_) {
+  if (dense_fallback_) {
     dense_lu_.solve(b);
   } else {
     sparse_lu_.solve(b);

@@ -5,13 +5,12 @@
 // transient solvers, so a DC solution vector can warm-start subsequent DC
 // solves and feed the AC linearization directly.
 //
-// MnaSystem adds the assembled-system storage behind a backend switch: a
-// dense matrix + dense LU for tiny systems, or a CSC sparse matrix + sparse
-// LU with cached symbolic analysis for everything else.  The first assembly
-// records the stamp sequence and resolves every stamp to a stable value
-// slot; later assemblies replay the identical sequence against those slots,
-// so the sparse pattern -- and the symbolic factorization derived from it --
-// is fixed at netlist-build time and survives Newton iterations, transient
+// MnaSystem adds the assembled-system storage: a CSC sparse matrix + sparse
+// LU with cached symbolic analysis.  The first assembly records the stamp
+// sequence and resolves every stamp to a stable value slot; later
+// assemblies replay the identical sequence against those slots, so the
+// sparse pattern -- and the symbolic factorization derived from it -- is
+// fixed at netlist-build time and survives Newton iterations, transient
 // timesteps and Monte-Carlo model-card perturbations alike.
 #pragma once
 
@@ -50,20 +49,7 @@ class MnaLayout {
   std::vector<std::size_t> inductor_branch_;
 };
 
-/// Linear-solve backend for an assembled MNA system.  kAuto picks dense for
-/// tiny systems (the amplifier testbenches, where dense LU wins on constant
-/// factors) and sparse above kSparseAutoThreshold unknowns.
-enum class SolverBackend { kDense, kSparse, kAuto };
-
-const char* to_string(SolverBackend backend);
-
-/// kAuto switches to the sparse path at this many unknowns.
-inline constexpr std::size_t kSparseAutoThreshold = 64;
-
-/// Resolves kAuto against the system size; kDense/kSparse pass through.
-SolverBackend resolve_backend(SolverBackend requested, std::size_t n);
-
-/// Assembled MNA system (matrix + rhs) behind a SolverBackend.
+/// Assembled MNA system (matrix + rhs) over a sparse LU.
 ///
 /// Assembly protocol, repeated identically every time the system is
 /// (re)stamped:
@@ -77,31 +63,27 @@ SolverBackend resolve_backend(SolverBackend requested, std::size_t n);
 ///   sys.solve(x);
 ///
 /// The first begin/end pair captures the pattern; from then on stamps are
-/// slot replays and, on the sparse backend, factor() is a numeric-only
-/// refactorization against the cached symbolic analysis.
+/// slot replays and factor() is a numeric-only refactorization against the
+/// cached symbolic analysis.
 template <typename Scalar>
 class MnaSystem {
  public:
   MnaSystem() = default;
 
-  /// Sizes the system and resolves the backend.  Discards any captured
-  /// pattern; call once per (netlist, analysis) pairing.
-  void reset(std::size_t n, SolverBackend backend);
+  /// Sizes the system.  Discards any captured pattern; call once per
+  /// (netlist, analysis) pairing.
+  void reset(std::size_t n);
 
   std::size_t size() const { return n_; }
-  bool is_sparse() const { return sparse_; }
-  SolverBackend backend() const {
-    return sparse_ ? SolverBackend::kSparse : SolverBackend::kDense;
-  }
 
   void begin_assembly();
   /// Adds `v` at (r, c); r and c must be valid indices (the Stamper elides
   /// ground).  During the first assembly this records the pattern; later
   /// assemblies replay the recorded slot sequence.  The replay path is the
   /// innermost loop of every Monte-Carlo sample, so it is inlined here;
-  /// pattern capture and the dense backend take the cold out-of-line path.
+  /// pattern capture takes the cold out-of-line path.
   void add(int r, int c, Scalar v) {
-    if (sparse_ && pattern_ready_) [[likely]] {
+    if (pattern_ready_) [[likely]] {
       if (cursor_ >= slots_.size()) [[unlikely]] replay_overflow();
       const std::uint32_t slot = slots_[cursor_++];
       // Batched lanes accumulate into the compact per-lane staging buffer
@@ -130,10 +112,10 @@ class MnaSystem {
 
   std::vector<Scalar>& rhs() { return rhs_; }
 
-  /// Factors the assembled matrix; false when numerically singular.  On
-  /// the sparse backend a pivot breakdown first retries the assembly
-  /// through dense LU (the sparse_to_dense degradation rung) before
-  /// reporting failure; solve() then follows the fallback factorization.
+  /// Factors the assembled matrix; false when numerically singular.  A
+  /// sparse pivot breakdown first retries the assembly through dense LU
+  /// (the sparse_to_dense degradation rung) before reporting failure;
+  /// solve() then follows the fallback factorization.
   bool factor();
   /// Solves in place against the last successful factor().
   void solve(std::vector<Scalar>& b) const;
@@ -161,13 +143,13 @@ class MnaSystem {
   //        which stay factorable -- they already factored last round) ...
   //   sys.end_batch();
   //
-  // Only the sparse backend batches; callers check batch_ready() and fall
-  // back to a scalar per-lane loop otherwise (dense systems are tiny).
+  // Callers check batch_ready() and fall back to a scalar per-lane loop
+  // until a scalar factor() has produced the symbolic analysis.
 
-  /// True when batched assembly is available: sparse backend, pattern
-  /// captured and a valid symbolic analysis from a prior scalar factor().
+  /// True when batched assembly is available: pattern captured and a valid
+  /// symbolic analysis from a prior scalar factor().
   bool batch_ready() const {
-    return sparse_ && pattern_ready_ && sparse_lu_.analyzed();
+    return pattern_ready_ && sparse_lu_.analyzed();
   }
   /// Opens a K-lane batched assembly (zeroes all lanes).  Requires
   /// batch_ready().  Scalar assemblies are rejected until end_batch().
@@ -189,39 +171,29 @@ class MnaSystem {
   /// Closes the batch and returns to scalar assembly mode.
   void end_batch() { batch_lanes_ = 0; }
 
-  /// Sparse-backend diagnostics (0 on the dense backend).
-  long long full_factorizations() const {
-    return sparse_ ? sparse_lu_.full_factorizations() : 0;
-  }
-  long long refactorizations() const {
-    return sparse_ ? sparse_lu_.refactorizations() : 0;
-  }
-  std::size_t pattern_nnz() const { return sparse_ ? sparse_a_.nnz() : n_ * n_; }
-
  private:
-  /// Pattern capture / dense-backend leg of add().
+  /// Pattern-capture leg of add().
   void add_cold(int r, int c, Scalar v);
   [[noreturn]] void replay_overflow() const;
 
   std::size_t n_ = 0;
-  bool sparse_ = false;
   bool pattern_ready_ = false;
-  /// Last factor() on the sparse backend went through the dense-LU
-  /// degradation rung (sparse pivot breakdown); solve() follows it.
+  /// Last factor() went through the dense-LU degradation rung (sparse
+  /// pivot breakdown); solve() follows it.
   bool dense_fallback_ = false;
   std::vector<Scalar> rhs_;
 
-  // Dense backend.
-  linalg::Matrix<Scalar> dense_a_;
-  linalg::LuSolver<Scalar> dense_lu_;
-
-  // Sparse backend: capture state (first assembly only), then slot replay.
+  // Capture state (first assembly only), then slot replay.
   linalg::SparseBuilder builder_;
   std::vector<Scalar> capture_values_;
   std::vector<std::uint32_t> slots_;
   std::size_t cursor_ = 0;
   linalg::SparseMatrix<Scalar> sparse_a_;
   linalg::SparseLuSolver<Scalar> sparse_lu_;
+
+  // The sparse_to_dense rung's scatter target and factorization.
+  linalg::Matrix<Scalar> dense_a_;
+  linalg::LuSolver<Scalar> dense_lu_;
 
   // Batched mode (0 lanes means scalar mode; the storage is kept across
   // batches to avoid reallocation on the hot path).  Each lane assembles
@@ -244,24 +216,16 @@ class MnaSystem {
 extern template class MnaSystem<double>;
 extern template class MnaSystem<std::complex<double>>;
 
-/// Helper for stamping with ground (index -1) elision.  Stamps either into
-/// a caller-owned dense matrix + rhs (pattern discovery, tests) or into an
-/// MnaSystem, which dispatches to its backend.
+/// Helper for stamping into an MnaSystem with ground (index -1) elision.
 template <typename Scalar>
 class Stamper {
  public:
-  Stamper(linalg::Matrix<Scalar>& a, std::vector<Scalar>& rhs)
-      : a_(&a), dense_rhs_(&rhs) {}
   explicit Stamper(MnaSystem<Scalar>& sys) : sys_(&sys) {}
 
   /// Adds `g` between matrix rows/cols (r, c); ignores ground (-1).
   void add(int r, int c, Scalar g) {
     if (r < 0 || c < 0) return;
-    if (sys_ != nullptr) {
-      sys_->add(r, c, g);
-    } else {
-      (*a_)(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) += g;
-    }
+    sys_->add(r, c, g);
   }
   /// Adds a two-terminal admittance `g` between nodes with matrix indices
   /// (i, j): the classic 4-entry stamp.
@@ -281,17 +245,11 @@ class Stamper {
   }
   void rhs_add(int r, Scalar value) {
     if (r < 0) return;
-    if (sys_ != nullptr) {
-      sys_->rhs_add(r, value);
-    } else {
-      (*dense_rhs_)[static_cast<std::size_t>(r)] += value;
-    }
+    sys_->rhs_add(r, value);
   }
 
  private:
-  linalg::Matrix<Scalar>* a_ = nullptr;
-  std::vector<Scalar>* dense_rhs_ = nullptr;
-  MnaSystem<Scalar>* sys_ = nullptr;
+  MnaSystem<Scalar>* sys_;
 };
 
 }  // namespace moheco::spice

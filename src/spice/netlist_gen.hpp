@@ -1,8 +1,7 @@
 // Parameterized linear benchmark netlists: RC ladders and RC grids whose
 // MNA systems scale from tens to thousands of unknowns.  Used by the
-// solver-backend scaling tests and bench_micro_sparse to compare the dense
-// and sparse linear-solve paths on patterns far beyond the amplifier
-// testbenches.
+// dense-LU oracle tests and the solver micro benches to exercise the sparse
+// linear-solve path on patterns far beyond the amplifier testbenches.
 #pragma once
 
 #include "src/spice/netlist.hpp"

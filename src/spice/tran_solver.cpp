@@ -11,10 +11,10 @@
 
 namespace moheco::spice {
 
-TranSolver::TranSolver(const Netlist& netlist, SolverBackend backend)
+TranSolver::TranSolver(const Netlist& netlist)
     : netlist_(netlist), layout_(netlist) {
   netlist.validate();
-  sys_.reset(layout_.size(), backend);
+  sys_.reset(layout_.size());
   inductor_v_prev_.assign(netlist.inductors().size(), 0.0);
 }
 
@@ -449,7 +449,6 @@ bool TranSolver::run_batch(
   // from lane 0's first Newton system (the factors are discarded; only the
   // pattern capture and the analysis survive).
   if (!sys_.batch_ready()) {
-    if (!sys_.is_sparse()) return false;
     activate_lane(0);
     sys_.begin_assembly();
     Stamper<double> stamper(sys_);

@@ -71,11 +71,9 @@ struct TranLaneResult {
 /// perturbation); workspace and layout are allocated once.
 class TranSolver {
  public:
-  /// `backend` selects the linear-solve path (see SolverBackend); the
-  /// sparse backend's symbolic analysis is shared by every timestep's
+  /// The sparse LU's symbolic analysis is shared by every timestep's
   /// Newton iterations and every run() on this instance.
-  explicit TranSolver(const Netlist& netlist,
-                      SolverBackend backend = SolverBackend::kAuto);
+  explicit TranSolver(const Netlist& netlist);
 
   /// Integrates from t = 0 to options.t_stop.  If `initial_op` is non-null
   /// and sized layout().size() it is used as the t = 0 state (it must be a
@@ -98,7 +96,7 @@ class TranSolver {
   /// `initial_ops[l]` must be lane l's converged DC solution, sized
   /// layout().size().  Returns false -- leaving `results` untouched and all
   /// scalar-path state (time()/stats()/...) unchanged -- when batching is
-  /// unavailable (dense backend, no analyzable pattern) or when any lane's
+  /// unavailable (no analyzable pattern) or when any lane's
   /// replayed pivots break down mid-run; the caller must then replay every
   /// lane through scalar run() in lane order, which reproduces the exact
   /// scalar semantics including re-pivoting.  On true, `results` holds each
@@ -111,8 +109,6 @@ class TranSolver {
 
   const MnaLayout& layout() const { return layout_; }
   const TranStats& stats() const { return stats_; }
-  /// Resolved linear-solve backend (never kAuto).
-  SolverBackend backend() const { return sys_.backend(); }
 
   /// Accepted time points (time()[0] == 0) and node voltages.
   const std::vector<double>& time() const { return time_; }

@@ -1,24 +1,123 @@
-// Property tests: the dense and sparse linear-solve backends must agree to
-// tight tolerance on the same MNA systems -- randomized conductance-stamped
-// networks (real and complex AC), the generated scaling netlists, and the
-// three amplifier topologies' nominal DC solves.
+// Dense-LU oracle for the sparse MNA solve path.  Every case solves the same
+// system twice with the same solver class: once on the normal sparse path,
+// and once with the sparse_factor fail point armed, so that every factor
+// takes the sparse_to_dense degradation rung and the same assembled values
+// go through dense LU (linalg::LuSolver).  The two answers must agree to
+// tight tolerance on randomized conductance-stamped networks (real and
+// complex AC), the generated RC ladders and grids, and the three amplifier
+// topologies' nominal DC and AC solves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/circuits/topology.hpp"
+#include "src/common/failpoint.hpp"
+#include "src/common/failure_ladder.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/spice/ac_solver.hpp"
 #include "src/spice/dc_solver.hpp"
-#include "src/spice/mna.hpp"
 #include "src/spice/netlist.hpp"
 #include "src/spice/netlist_gen.hpp"
 #include "src/stats/rng.hpp"
 
 namespace moheco::spice {
 namespace {
+
+/// While alive, every MnaSystem::factor() skips sparse LU (the armed
+/// sparse_factor fail point) and factors through the sparse_to_dense rung.
+/// The destructor disarms and checks that the rung served every factor
+/// made in scope, so an oracle side can never silently run sparse.
+class DenseOracleScope {
+ public:
+  DenseOracleScope()
+      : factors_before_(factors().value()),
+        ladder_before_(fail::ladder_snapshot()) {
+    fail::arm("sparse_factor=prob:1");
+  }
+  ~DenseOracleScope() {
+    const std::uint64_t made = factors().value() - factors_before_;
+    const std::uint64_t fired = fail::fires(fail::Site::kSparseFactor);
+    const fail::LadderSnapshot delta =
+        fail::ladder_delta(ladder_before_, fail::ladder_snapshot());
+    fail::disarm();
+    EXPECT_GT(made, 0u);
+    EXPECT_EQ(fired, made);
+    EXPECT_EQ(delta.counts[static_cast<int>(fail::Ladder::kSparseToDense)],
+              made);
+  }
+  DenseOracleScope(const DenseOracleScope&) = delete;
+  DenseOracleScope& operator=(const DenseOracleScope&) = delete;
+
+ private:
+  static const obs::Counter& factors() {
+    return obs::registry().counter("solver.factors");
+  }
+
+  std::uint64_t factors_before_;
+  fail::LadderSnapshot ladder_before_;
+};
+
+/// Operating point of `netlist` from a flat start; through dense LU when
+/// `dense_oracle` is set.
+OperatingPoint dc_op(const Netlist& netlist, const DcOptions& options,
+                     bool dense_oracle) {
+  std::optional<DenseOracleScope> oracle;
+  if (dense_oracle) oracle.emplace();
+  DcSolver solver(netlist);
+  EXPECT_EQ(solver.solve(options), SolveStatus::kOk);
+  return solver.op();
+}
+
+/// AC node voltages at `op`, one row per frequency, indexed by NodeId
+/// ([0] is ground); through dense LU when `dense_oracle` is set.
+std::vector<std::vector<std::complex<double>>> ac_sweep(
+    const Netlist& netlist, const OperatingPoint& op,
+    const std::vector<double>& freqs, bool dense_oracle) {
+  std::optional<DenseOracleScope> oracle;
+  if (dense_oracle) oracle.emplace();
+  AcSolver solver(netlist, op);
+  std::vector<std::vector<std::complex<double>>> rows;
+  for (double freq : freqs) {
+    EXPECT_EQ(solver.solve(freq), SolveStatus::kOk) << freq << " Hz";
+    std::vector<std::complex<double>>& row = rows.emplace_back();
+    for (NodeId n = 0; n <= netlist.num_nodes(); ++n) {
+      row.push_back(solver.voltage(n));
+    }
+  }
+  return rows;
+}
+
+/// |x - oracle| <= tol * max(1, |oracle|) entry by entry.
+void expect_dc_matches(const std::vector<double>& oracle,
+                       const std::vector<double>& x, double tol,
+                       const std::string& what) {
+  ASSERT_EQ(oracle.size(), x.size()) << what;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_NEAR(x[i], oracle[i], tol * std::max(1.0, std::fabs(oracle[i])))
+        << what << " unknown " << i;
+  }
+}
+
+void expect_ac_matches(
+    const std::vector<std::vector<std::complex<double>>>& oracle,
+    const std::vector<std::vector<std::complex<double>>>& v, double tol,
+    const std::string& what) {
+  ASSERT_EQ(oracle.size(), v.size()) << what;
+  for (std::size_t f = 0; f < v.size(); ++f) {
+    ASSERT_EQ(oracle[f].size(), v[f].size()) << what;
+    for (std::size_t n = 0; n < v[f].size(); ++n) {
+      EXPECT_NEAR(std::abs(v[f][n] - oracle[f][n]), 0.0,
+                  tol * std::max(1.0, std::abs(oracle[f][n])))
+          << what << " node " << n << " at frequency #" << f;
+    }
+  }
+}
 
 /// Random connected resistor network with current-source drives: a chain
 /// guarantees connectivity, extra random edges give the pattern genuine
@@ -61,92 +160,83 @@ Netlist random_conductance_network(int nodes, int extra_edges,
   return netlist;
 }
 
-class ConductanceParityTest : public ::testing::TestWithParam<int> {};
+class ConductanceOracleTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(ConductanceParityTest, DcBackendsAgree) {
+TEST_P(ConductanceOracleTest, DcMatchesDenseOracle) {
   const int nodes = GetParam();
   const Netlist netlist = random_conductance_network(
       nodes, nodes / 2, 321 + static_cast<std::uint64_t>(nodes));
-  DcSolver dense(netlist, SolverBackend::kDense);
-  DcSolver sparse(netlist, SolverBackend::kSparse);
-  ASSERT_EQ(dense.backend(), SolverBackend::kDense);
-  ASSERT_EQ(sparse.backend(), SolverBackend::kSparse);
-  ASSERT_EQ(dense.solve(DcOptions{}), SolveStatus::kOk);
-  ASSERT_EQ(sparse.solve(DcOptions{}), SolveStatus::kOk);
-  const auto& xd = dense.op().solution;
-  const auto& xs = sparse.op().solution;
-  ASSERT_EQ(xd.size(), xs.size());
-  for (std::size_t i = 0; i < xd.size(); ++i) {
-    EXPECT_NEAR(xd[i], xs[i], 1e-10 * std::max(1.0, std::fabs(xd[i])));
-  }
+  expect_dc_matches(dc_op(netlist, DcOptions{}, /*dense_oracle=*/true).solution,
+                    dc_op(netlist, DcOptions{}, false).solution, 1e-10, "dc");
 }
 
-TEST_P(ConductanceParityTest, AcBackendsAgree) {
+TEST_P(ConductanceOracleTest, AcMatchesDenseOracle) {
   const int nodes = GetParam();
   const Netlist netlist = random_conductance_network(
       nodes, nodes / 2, 654 + static_cast<std::uint64_t>(nodes));
-  DcSolver dc(netlist);
-  ASSERT_EQ(dc.solve(DcOptions{}), SolveStatus::kOk);
-  AcSolver dense(netlist, dc.op(), SolverBackend::kDense);
-  AcSolver sparse(netlist, dc.op(), SolverBackend::kSparse);
-  for (double freq : {1e3, 1e6, 1e9}) {
-    ASSERT_EQ(dense.solve(freq), SolveStatus::kOk);
-    ASSERT_EQ(sparse.solve(freq), SolveStatus::kOk);
-    for (int n = 1; n <= netlist.num_nodes(); ++n) {
-      const std::complex<double> vd = dense.voltage(n);
-      const std::complex<double> vs = sparse.voltage(n);
-      EXPECT_NEAR(std::abs(vd - vs), 0.0, 1e-10 * std::max(1.0, std::abs(vd)))
-          << "node " << n << " at " << freq << " Hz";
-    }
-  }
+  const OperatingPoint op = dc_op(netlist, DcOptions{}, false);
+  const std::vector<double> freqs = {1e3, 1e6, 1e9};
+  expect_ac_matches(ac_sweep(netlist, op, freqs, /*dense_oracle=*/true),
+                    ac_sweep(netlist, op, freqs, false), 1e-10, "ac");
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, ConductanceParityTest,
+INSTANTIATE_TEST_SUITE_P(Sizes, ConductanceOracleTest,
                          ::testing::Values(5, 17, 40, 90, 200));
 
-TEST(BackendParity, RcLadderMatchesAnalyticDc) {
+TEST(DenseOracle, RcLadderMatchesAnalyticDc) {
   LadderSpec spec;
   spec.sections = 300;
   const Netlist netlist = make_rc_ladder(spec);
-  for (const SolverBackend backend :
-       {SolverBackend::kDense, SolverBackend::kSparse}) {
-    DcSolver solver(netlist, backend);
-    ASSERT_EQ(solver.solve(DcOptions{}), SolveStatus::kOk);
+  for (const bool dense_oracle : {true, false}) {
+    const OperatingPoint op = dc_op(netlist, DcOptions{}, dense_oracle);
     // gmin shunts perturb the divider at the ~1e-6 level; compare there.
     for (int k : {1, 50, 150, 300}) {
       const NodeId n = k + 1;  // node "nk": "in" is id 1, "n1" is id 2, ...
-      EXPECT_NEAR(solver.op().node_voltage[n], rc_ladder_dc_voltage(spec, k),
-                  1e-4)
-          << to_string(backend) << " section " << k;
+      EXPECT_NEAR(op.node_voltage[n], rc_ladder_dc_voltage(spec, k), 1e-4)
+          << (dense_oracle ? "dense oracle" : "sparse") << " section " << k;
     }
   }
 }
 
-TEST(BackendParity, RcGridBackendsAgreeDcAndAc) {
+TEST(DenseOracle, RcGridMatchesDcAndAc) {
   GridSpec spec;
   spec.rows = 12;
   spec.cols = 12;
   const Netlist netlist = make_rc_grid(spec);
-  DcSolver dense(netlist, SolverBackend::kDense);
-  DcSolver sparse(netlist, SolverBackend::kSparse);
-  ASSERT_EQ(dense.solve(DcOptions{}), SolveStatus::kOk);
-  ASSERT_EQ(sparse.solve(DcOptions{}), SolveStatus::kOk);
-  for (std::size_t i = 0; i < dense.op().solution.size(); ++i) {
-    EXPECT_NEAR(dense.op().solution[i], sparse.op().solution[i], 1e-10);
-  }
-  AcSolver ac_dense(netlist, dense.op(), SolverBackend::kDense);
-  AcSolver ac_sparse(netlist, dense.op(), SolverBackend::kSparse);
-  for (double freq : {1e4, 1e7, 1e10}) {
-    ASSERT_EQ(ac_dense.solve(freq), SolveStatus::kOk);
-    ASSERT_EQ(ac_sparse.solve(freq), SolveStatus::kOk);
-    for (int n = 1; n <= netlist.num_nodes(); ++n) {
-      EXPECT_NEAR(std::abs(ac_dense.voltage(n) - ac_sparse.voltage(n)), 0.0,
-                  1e-10);
-    }
+  // Every unknown is at most 1 (V or A), so these relative checks are the
+  // absolute 1e-10 bound.
+  const OperatingPoint oracle_op = dc_op(netlist, DcOptions{}, true);
+  expect_dc_matches(oracle_op.solution,
+                    dc_op(netlist, DcOptions{}, false).solution, 1e-10, "dc");
+  const std::vector<double> freqs = {1e4, 1e7, 1e10};
+  expect_ac_matches(ac_sweep(netlist, oracle_op, freqs, true),
+                    ac_sweep(netlist, oracle_op, freqs, false), 1e-10, "ac");
+}
+
+TEST(DenseOracle, LargeLadderAndGridMatchDcAndAc) {
+  // The largest generated systems the checked sizes reach: a 500-section
+  // ladder (near-tridiagonal) and a 16x16 grid (real fill-in).
+  LadderSpec ladder;
+  ladder.sections = 500;
+  GridSpec grid;
+  grid.rows = 16;
+  grid.cols = 16;
+  const struct {
+    const char* name;
+    Netlist netlist;
+  } scenarios[] = {{"ladder-500", make_rc_ladder(ladder)},
+                   {"grid-16x16", make_rc_grid(grid)}};
+  const std::vector<double> freqs = {1e4, 1e7, 1e10};
+  for (const auto& s : scenarios) {
+    const OperatingPoint op = dc_op(s.netlist, DcOptions{}, false);
+    expect_dc_matches(dc_op(s.netlist, DcOptions{}, true).solution,
+                      op.solution, 1e-10, s.name);
+    expect_ac_matches(ac_sweep(s.netlist, op, freqs, true),
+                      ac_sweep(s.netlist, op, freqs, false), 1e-10, s.name);
   }
 }
 
-// --- amplifier topologies: nominal DC under both backends ----------------
+// --- amplifier topologies: nominal DC and AC ------------------------------
 
 struct TopologyCase {
   const char* name;
@@ -167,45 +257,36 @@ std::vector<TopologyCase> amplifier_cases() {
   };
 }
 
-TEST(BackendParity, AmplifierNominalDcSolvesAgree) {
+TEST(DenseOracle, AmplifierNominalDcMatches) {
+  // Tight Newton tolerances so both sides converge to the root well below
+  // the 1e-10 comparison threshold.
+  DcOptions options;
+  options.v_tol = 1e-9;
+  options.rel_tol = 1e-9;
+  options.i_tol = 1e-12;
   for (const TopologyCase& tc : amplifier_cases()) {
     const circuits::BuiltCircuit circuit = tc.make()->build(tc.x0);
-    // Tight Newton tolerances so both backends converge to the root well
-    // below the 1e-10 comparison threshold.
-    DcOptions options;
-    options.v_tol = 1e-9;
-    options.rel_tol = 1e-9;
-    options.i_tol = 1e-12;
-    DcSolver dense(circuit.netlist, SolverBackend::kDense);
-    DcSolver sparse(circuit.netlist, SolverBackend::kSparse);
-    ASSERT_EQ(dense.solve(options), SolveStatus::kOk) << tc.name;
-    ASSERT_EQ(sparse.solve(options), SolveStatus::kOk) << tc.name;
-    const auto& xd = dense.op().solution;
-    const auto& xs = sparse.op().solution;
-    ASSERT_EQ(xd.size(), xs.size()) << tc.name;
-    for (std::size_t i = 0; i < xd.size(); ++i) {
-      EXPECT_NEAR(xd[i], xs[i], 1e-10 * std::max(1.0, std::fabs(xd[i])))
-          << tc.name << " unknown " << i;
-    }
+    expect_dc_matches(dc_op(circuit.netlist, options, true).solution,
+                      dc_op(circuit.netlist, options, false).solution, 1e-10,
+                      tc.name);
   }
 }
 
-TEST(BackendParity, AmplifierAcTransferAgrees) {
-  const TopologyCase tc = amplifier_cases()[1];  // folded cascode
-  const circuits::BuiltCircuit circuit = tc.make()->build(tc.x0);
-  DcSolver dc(circuit.netlist);
-  ASSERT_EQ(dc.solve(DcOptions{}), SolveStatus::kOk);
-  AcSolver dense(circuit.netlist, dc.op(), SolverBackend::kDense);
-  AcSolver sparse(circuit.netlist, dc.op(), SolverBackend::kSparse);
-  for (double freq : {10.0, 1e4, 1e7, 1e9}) {
-    ASSERT_EQ(dense.solve(freq), SolveStatus::kOk);
-    ASSERT_EQ(sparse.solve(freq), SolveStatus::kOk);
-    const std::complex<double> hd =
-        dense.differential(circuit.outp, circuit.outn);
-    const std::complex<double> hs =
-        sparse.differential(circuit.outp, circuit.outn);
-    EXPECT_NEAR(std::abs(hd - hs), 0.0, 1e-10 * std::max(1.0, std::abs(hd)))
-        << "freq " << freq;
+TEST(DenseOracle, AmplifierAcTransferMatches) {
+  const std::vector<double> freqs = {10.0, 1e4, 1e7, 1e9};
+  for (const TopologyCase& tc : amplifier_cases()) {
+    const circuits::BuiltCircuit circuit = tc.make()->build(tc.x0);
+    const OperatingPoint op = dc_op(circuit.netlist, DcOptions{}, false);
+    const auto oracle_v = ac_sweep(circuit.netlist, op, freqs, true);
+    const auto v = ac_sweep(circuit.netlist, op, freqs, false);
+    ASSERT_EQ(v.size(), oracle_v.size()) << tc.name;
+    for (std::size_t f = 0; f < v.size(); ++f) {
+      const std::complex<double> hd =
+          oracle_v[f][circuit.outp] - oracle_v[f][circuit.outn];
+      const std::complex<double> hs = v[f][circuit.outp] - v[f][circuit.outn];
+      EXPECT_NEAR(std::abs(hd - hs), 0.0, 1e-10 * std::max(1.0, std::abs(hd)))
+          << tc.name << " at " << freqs[f] << " Hz";
+    }
   }
 }
 

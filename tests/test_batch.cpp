@@ -23,6 +23,7 @@
 #include "src/linalg/sparse.hpp"
 #include "src/mc/candidate_yield.hpp"
 #include "src/mc/eval_scheduler.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/spice/deck_parser.hpp"
 #include "src/spice/dc_solver.hpp"
 #include "src/spice/mna.hpp"
@@ -361,13 +362,14 @@ struct GridStamp {
 TEST(MnaBatchTest, BatchReplayMatchesScalarBitwise) {
   const GridStamp grid(9);
   spice::MnaSystem<double> sys;
-  sys.reset(grid.n, spice::SolverBackend::kSparse);
+  sys.reset(grid.n);
   EXPECT_FALSE(sys.batch_ready());  // no pattern captured yet
 
   // Cold pass: capture the pattern and the symbolic analysis.
   sys.begin_assembly();
   grid.stamp(sys, 0);
   sys.end_assembly();
+  EXPECT_FALSE(sys.batch_ready());  // pattern captured, not yet analyzed
   std::vector<double> x0 = sys.rhs();
   ASSERT_TRUE(sys.factor());
   sys.solve(x0);
@@ -423,23 +425,6 @@ TEST(MnaBatchTest, BatchReplayMatchesScalarBitwise) {
   EXPECT_TRUE(bits_equal(x0, x0_again));
 }
 
-TEST(MnaBatchTest, DenseBackendNeverBatchReady) {
-  const GridStamp grid(3);
-  spice::MnaSystem<double> sys;
-  sys.reset(grid.n, spice::SolverBackend::kDense);
-  sys.begin_assembly();
-  grid.stamp(sys, 0);
-  sys.end_assembly();
-  std::vector<double> x = sys.rhs();
-  ASSERT_TRUE(sys.factor());
-  sys.solve(x);
-  EXPECT_FALSE(sys.batch_ready());
-  // kAuto resolves dense below the threshold, so it must not batch either.
-  spice::MnaSystem<double> auto_sys;
-  auto_sys.reset(grid.n, spice::SolverBackend::kAuto);
-  EXPECT_FALSE(auto_sys.is_sparse());
-}
-
 // ---------------------------------------------------------------------------
 // Layer 2.5: TranSolver::run_batch -- lockstep batched transient vs scalar
 // run(), including the mid-transient pivot-breakdown demotion path.
@@ -470,8 +455,8 @@ TEST(TranBatchTest, RunBatchMatchesScalarBitwise) {
       n.capacitor(s).capacitance = 1e-12 * (1.0 + 0.05 * static_cast<double>(lane % 3));
     }
   };
-  spice::TranSolver tran(n, spice::SolverBackend::kSparse);
-  spice::DcSolver dc(n, spice::SolverBackend::kSparse);
+  spice::TranSolver tran(n);
+  spice::DcSolver dc(n);
   spice::TranOptions options;
   options.t_stop = 400e-9;
 
@@ -545,8 +530,8 @@ TEST(TranBatchTest, MidTransientPivotBreakdownDemotesWholeBatch) {
     n.capacitor(0).capacitance = 1e-12 * (1.0 + 0.03 * static_cast<double>(lane));
     n.resistor(0).resistance = 1e3 * (1.0 + 0.05 * static_cast<double>(lane));
   };
-  spice::TranSolver tran(n, spice::SolverBackend::kSparse);
-  spice::DcSolver dc(n, spice::SolverBackend::kSparse);
+  spice::TranSolver tran(n);
+  spice::DcSolver dc(n);
   spice::TranOptions o;
   o.t_stop = 1e-6;
   o.dt_init = 1e-12;  // h then grows ~1e5x, decaying the C/h pivot with it
@@ -633,7 +618,6 @@ TEST(CircuitBatchTest, AllTopologiesMatchScalarAtEveryWidth) {
   for (const auto& topology : topologies) {
     for (int k : {1, 2, 4, 8}) {
       circuits::EvalOptions eval;
-      eval.backend = spice::SolverBackend::kSparse;
       eval.batch = k;
       const circuits::CircuitYieldProblem problem(topology, eval);
       EXPECT_EQ(problem.open(midpoint_design(problem, 0.5))->preferred_batch(),
@@ -645,7 +629,6 @@ TEST(CircuitBatchTest, AllTopologiesMatchScalarAtEveryWidth) {
 
 TEST(CircuitBatchTest, TransientSessionsMatchScalar) {
   circuits::EvalOptions eval;
-  eval.backend = spice::SolverBackend::kSparse;
   eval.batch = 4;
   eval.transient = true;
   const circuits::CircuitYieldProblem problem(
@@ -653,15 +636,19 @@ TEST(CircuitBatchTest, TransientSessionsMatchScalar) {
   check_session_parity(problem, /*lanes=*/6, 0x7A57);
 }
 
-TEST(CircuitBatchTest, DenseAutoBackendFallsBackToScalarLoop) {
-  // The amplifier systems are below kSparseAutoThreshold, so kAuto resolves
-  // dense: evaluate_batch must take the scalar per-lane loop and still
-  // match per-lane evaluate() exactly.
+TEST(CircuitBatchTest, DefaultOptionsEngageBatchedSolvers) {
+  // Default options with only the batch width set: the amplifier sessions
+  // must run the batched solvers (not a silent scalar loop) and still match
+  // per-lane evaluate() exactly.
   circuits::EvalOptions eval;
-  eval.batch = 8;  // backend stays kAuto
+  eval.batch = 8;
   const circuits::CircuitYieldProblem problem(
       circuits::make_five_transistor_ota(), eval);
+  const obs::Counter& batch_factors =
+      obs::registry().counter("solver.batch_factors");
+  const std::uint64_t before = batch_factors.value();
   check_session_parity(problem, /*lanes=*/8, 0xDE45E);
+  EXPECT_GT(batch_factors.value(), before);
 }
 
 TEST(CircuitBatchTest, BatchWidthNeverChangesResultsAcrossWidths) {
@@ -671,7 +658,6 @@ TEST(CircuitBatchTest, BatchWidthNeverChangesResultsAcrossWidths) {
   std::vector<std::vector<mc::SampleResult>> results;
   for (int k : {1, 2, 8}) {
     circuits::EvalOptions eval;
-    eval.backend = spice::SolverBackend::kSparse;
     eval.batch = k;
     const circuits::CircuitYieldProblem problem(
         circuits::make_two_stage_telescopic(), eval);
@@ -698,7 +684,6 @@ TEST(DeckBatchTest, DeckTwinMatchesScalarAndBuiltin) {
   const spice::Deck deck = spice::parse_deck_file(
       std::string(MOHECO_SOURCE_DIR) + "/examples/five_t_ota.cir");
   circuits::EvalOptions eval;
-  eval.backend = spice::SolverBackend::kSparse;
   eval.batch = 4;
   const circuits::NetlistYieldProblem deck_problem(deck, eval);
   check_session_parity(deck_problem, /*lanes=*/7, 0xDECC);
@@ -728,7 +713,6 @@ std::vector<long long> scheduler_tallies(int batch, int workers,
                                          int per_candidate, int rounds,
                                          std::uint64_t seed) {
   circuits::EvalOptions eval;
-  eval.backend = spice::SolverBackend::kSparse;
   eval.batch = batch;
   const circuits::CircuitYieldProblem problem(
       circuits::make_five_transistor_ota(), eval);

@@ -51,6 +51,10 @@ TEST(CliExitCodes, UsageErrorsExitTwoAndNameTheFlag) {
   // Unknown flag.
   EXPECT_EQ(run(cli_path() + " " + example_deck() + " --frobnicate", &out), 2);
   EXPECT_NE(out.find("--frobnicate"), std::string::npos) << out;
+  // Retired flag: every system solves through sparse LU now.
+  EXPECT_EQ(run(cli_path() + " " + example_deck() + " --backend=sparse", &out),
+            2);
+  EXPECT_NE(out.find("--backend"), std::string::npos) << out;
   // No deck and no control op: usage, not a crash.
   EXPECT_EQ(run(cli_path(), &out), 2);
   // Inconsistent serving flags: --op without --connect, --job without --op.

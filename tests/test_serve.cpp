@@ -205,6 +205,29 @@ TEST(Protocol, SubmitCodecRoundTrips) {
   EXPECT_EQ(warm_cache_key(decoded), warm_cache_key(spec));
 }
 
+TEST(Protocol, LegacyBackendOptionIsAcceptedAndIgnored) {
+  // "backend" selected a linear-solve path that no longer exists: old
+  // clients still decode, to exactly the job a submit without the key runs.
+  const std::string prefix =
+      "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
+      "\"options\":{\"seed\":5";
+  const auto decode = [](const std::string& line) {
+    const std::optional<JsonValue> parsed = parse_json(line);
+    EXPECT_TRUE(parsed.has_value()) << line;
+    JobSpec spec;
+    std::string tag;
+    std::string error;
+    EXPECT_TRUE(decode_submit(*parsed, &spec, &tag, &error)) << error;
+    return spec;
+  };
+  const JobSpec plain = decode(prefix + "}}");
+  const JobSpec legacy = decode(prefix + ",\"backend\":\"dense\"}}");
+  EXPECT_EQ(result_fingerprint(legacy, 2), result_fingerprint(plain, 2));
+  EXPECT_EQ(warm_cache_key(legacy), warm_cache_key(plain));
+  // The codec no longer emits the key.
+  EXPECT_EQ(encode_submit(plain, "").find("backend"), std::string::npos);
+}
+
 TEST(Protocol, SubmitDecodeIsStrict) {
   JobSpec spec;
   std::string tag;
