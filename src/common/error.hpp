@@ -9,6 +9,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace moheco {
 
@@ -37,11 +38,10 @@ class LinalgError : public Error {
 };
 
 /// Throws InvalidArgument with `message` when `condition` is false.  The
-/// literal overload builds the message only on failure, so a passing check
-/// on a hot path costs a branch rather than a std::string construction.
-inline void require(bool condition, const char* message) {
-  if (!condition) [[unlikely]] throw InvalidArgument(message);
+/// message is copied into a std::string only on failure, so a passing check
+/// with a literal message costs a branch.
+inline void require(bool condition, std::string_view message) {
+  if (!condition) [[unlikely]] throw InvalidArgument(std::string(message));
 }
-void require(bool condition, const std::string& message);
 
 }  // namespace moheco

@@ -6,6 +6,11 @@
 // tight tolerance on randomized conductance-stamped networks (real and
 // complex AC), the generated RC ladders and grids, and the three amplifier
 // topologies' nominal DC and AC solves.
+//
+// Both sides share assembly: the rung scatters the values the sparse path
+// assembled (pattern capture, CSC finalize, slot replay), so this file checks
+// factor and solve only.  Stamping is checked against closed-form answers in
+// test_spice.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
