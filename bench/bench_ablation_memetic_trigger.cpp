@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
   for (int interval : {3, 5, 10, -1}) {
     stats::Welford yields, sims, gens;
     mc::SimBreakdown breakdown;
-    mc::SchedBreakdown sched;
     for (int run = 0; run < options.runs; ++run) {
       core::MohecoOptions o = bench::base_options(options);
       o.seed = stats::derive_seed(options.seed, 0xAB1, run);
@@ -44,7 +43,6 @@ int main(int argc, char** argv) {
       sims.add(static_cast<double>(r.total_simulations));
       gens.add(r.generations);
       breakdown += r.sim_breakdown;
-      sched += r.sched_breakdown;
     }
     char label[32], yld[32], cost[32], gen[32];
     std::snprintf(label, sizeof(label), "%s",
@@ -68,8 +66,6 @@ int main(int argc, char** argv) {
                   gens.mean());
     json_rows += row;
     json_rows += bench::json_sim_breakdown(breakdown);
-    json_rows += ",\"sched\":";
-    json_rows += bench::json_sched_breakdown(sched);
     json_rows += "}";
   }
   table.print(std::cout, "Example 1, " + std::to_string(options.runs) +

@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
   for (long long n : {50LL, 100LL, 300LL}) {
     stats::Welford pmc, lhs;
     const mc::SimBreakdown before = sims.breakdown();
-    const mc::SchedBreakdown sched_before = sims.sched_breakdown();
     for (int rep = 0; rep < reps; ++rep) {
       pmc.add(mc::reference_yield(problem, x, n,
                                   stats::derive_seed(options.seed, 1, rep),
@@ -59,18 +58,11 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(n), p, l, r});
 
     mc::SimBreakdown row_sims = sims.breakdown();
-    mc::SchedBreakdown row_sched = sims.sched_breakdown();
     row_sims.screen -= before.screen;
     row_sims.stage1 -= before.stage1;
     row_sims.ocba -= before.ocba;
     row_sims.stage2 -= before.stage2;
     row_sims.other -= before.other;
-    row_sched.session_hits -= sched_before.session_hits;
-    row_sched.cold_opens -= sched_before.cold_opens;
-    row_sched.warm_opens -= sched_before.warm_opens;
-    row_sched.affinity_hits -= sched_before.affinity_hits;
-    row_sched.steals -= sched_before.steals;
-    row_sched.migrations -= sched_before.migrations;
     char row[256];
     std::snprintf(row, sizeof(row),
                   "%s{\"samples\":%lld,\"reps\":%d,\"pmc_std\":%.6f,"
@@ -80,8 +72,6 @@ int main(int argc, char** argv) {
                   lhs.variance() > 0 ? pmc.variance() / lhs.variance() : 0.0);
     json_rows += row;
     json_rows += bench::json_sim_breakdown(row_sims);
-    json_rows += ",\"sched\":";
-    json_rows += bench::json_sched_breakdown(row_sched);
     json_rows += "}";
   }
   table.print(std::cout, "Yield-estimator spread over " +

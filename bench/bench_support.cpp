@@ -191,18 +191,6 @@ std::string json_sim_breakdown(const mc::SimBreakdown& breakdown) {
   return buffer;
 }
 
-std::string json_sched_breakdown(const mc::SchedBreakdown& breakdown) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "{\"session_hits\":%lld,\"cold_opens\":%lld,"
-                "\"warm_opens\":%lld,\"affinity_hits\":%lld,"
-                "\"steals\":%lld,\"migrations\":%lld}",
-                breakdown.session_hits, breakdown.cold_opens,
-                breakdown.warm_opens, breakdown.affinity_hits,
-                breakdown.steals, breakdown.migrations);
-  return buffer;
-}
-
 std::string json_simd_caps() {
   const linalg::SimdCaps& caps = linalg::simd_caps();
   std::string json = "{\"avx2\":";

@@ -78,11 +78,6 @@ BenchOptions bench_prologue(int argc, char** argv, const std::string& name);
 /// {"screen":N,"stage1":N,"ocba":N,"stage2":N,"other":N,"total":N}.
 std::string json_sim_breakdown(const mc::SimBreakdown& breakdown);
 
-/// JSON object fragment for the warm-path scheduler events:
-/// {"session_hits":N,"cold_opens":N,"warm_opens":N,"affinity_hits":N,
-///  "steals":N,"migrations":N}.
-std::string json_sched_breakdown(const mc::SchedBreakdown& breakdown);
-
 /// Writes `body` (a JSON object's contents, without the outer braces) to
 /// `path` wrapped as {"<bench>":{<body>}}.  No-op when path is empty;
 /// returns false (and warns on stderr) when the write fails.

@@ -112,7 +112,7 @@ void print_usage() {
                "                        checkpoints (local optimize runs)\n"
                "  --resume              resume from --checkpoint=DIR's state;\n"
                "                        bit-identical to the uninterrupted run\n"
-               "                        at --threads=1\n"
+               "                        at any --threads (--batch=1, no faults)\n"
                "  --faults=SPEC         arm deterministic fail points, e.g.\n"
                "                        seed=7,sparse_factor=prob:0.05 (also read\n"
                "                        from MOHECO_FAULTS when the flag is absent)\n"

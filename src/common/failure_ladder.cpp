@@ -1,18 +1,12 @@
 #include "src/common/failure_ladder.hpp"
 
 #include <array>
-#include <atomic>
 #include <string>
 
 #include "src/obs/metrics.hpp"
 
 namespace moheco::fail {
 namespace {
-
-std::array<std::atomic<std::uint64_t>, kNumLadderStages>& counters() {
-  static std::array<std::atomic<std::uint64_t>, kNumLadderStages> c{};
-  return c;
-}
 
 constexpr const char* kStageNames[kNumLadderStages] = {
     "sparse_to_dense",
@@ -21,6 +15,19 @@ constexpr const char* kStageNames[kNumLadderStages] = {
     "warm_blob_rejected",
 };
 
+/// The "fail.<rung>" registry counter of a stage: the only store of ladder
+/// counts.
+obs::Counter& rung_counter(int stage) {
+  static const std::array<obs::Counter*, kNumLadderStages> rungs = [] {
+    std::array<obs::Counter*, kNumLadderStages> r{};
+    for (int i = 0; i < kNumLadderStages; ++i) {
+      r[i] = &obs::registry().counter(std::string("fail.") + kStageNames[i]);
+    }
+    return r;
+  }();
+  return *rungs[stage];
+}
+
 }  // namespace
 
 const char* ladder_name(Ladder stage) {
@@ -28,26 +35,13 @@ const char* ladder_name(Ladder stage) {
 }
 
 void ladder_count(Ladder stage) {
-  counters()[static_cast<int>(stage)].fetch_add(1, std::memory_order_relaxed);
-  // Mirror each rung into the metrics registry ("fail.<rung>"); the local
-  // array above stays authoritative for ladder_snapshot()/ladder_delta().
-  static obs::Counter* rungs[kNumLadderStages] = {
-      &obs::registry().counter(std::string("fail.") + kStageNames[0]),
-      &obs::registry().counter(std::string("fail.") + kStageNames[1]),
-      &obs::registry().counter(std::string("fail.") + kStageNames[2]),
-      &obs::registry().counter(std::string("fail.") + kStageNames[3]),
-  };
-  rungs[static_cast<int>(stage)]->add(1);
-}
-
-std::uint64_t ladder_total(Ladder stage) {
-  return counters()[static_cast<int>(stage)].load(std::memory_order_relaxed);
+  rung_counter(static_cast<int>(stage)).add(1);
 }
 
 LadderSnapshot ladder_snapshot() {
   LadderSnapshot snap;
   for (int i = 0; i < kNumLadderStages; ++i) {
-    snap.counts[i] = counters()[i].load(std::memory_order_relaxed);
+    snap.counts[i] = rung_counter(i).value();
   }
   return snap;
 }

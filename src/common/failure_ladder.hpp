@@ -4,9 +4,10 @@
 // dense, a batched lane demoting to scalar, a sample marked infeasible
 // after solver failure, a warm-start blob rejected as corrupt) counts its
 // use here, so one run-level report can say how often each rung was hit.
-// Counters are process-global because the solver layers have no channel to
-// a per-run SimCounter; callers snapshot before/after a run and report the
-// delta.
+// The counts live only in the "fail.<rung>" counters of the process-wide
+// obs::Registry, because the solver layers have no channel to a per-run
+// SimCounter; callers snapshot before/after a run and report the delta,
+// which relies on the registry never resetting a counter.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +31,6 @@ const char* ladder_name(Ladder stage);
 
 /// Records one use of a degradation stage.
 void ladder_count(Ladder stage);
-
-/// Process-lifetime total for a stage.
-std::uint64_t ladder_total(Ladder stage);
 
 /// Point-in-time copy of every stage counter; subtract two snapshots to
 /// attribute ladder activity to one run.

@@ -89,10 +89,6 @@ void save_checkpoint(const std::string& dir, const Checkpoint& state) {
     out << "sims " << state.sims.screen << ' ' << state.sims.stage1 << ' '
         << state.sims.ocba << ' ' << state.sims.stage2 << ' '
         << state.sims.other << '\n';
-    out << "sched " << state.sched.session_hits << ' '
-        << state.sched.cold_opens << ' ' << state.sched.warm_opens << ' '
-        << state.sched.affinity_hits << ' ' << state.sched.steals << ' '
-        << state.sched.migrations << '\n';
     out << "fails " << state.fails.quarantine_open << ' '
         << state.fails.quarantine_eval << ' ' << state.fails.quarantine_screen
         << '\n';
@@ -209,15 +205,6 @@ std::optional<Checkpoint> load_checkpoint(const std::string& dir) {
     ck.sims.ocba = field<long long>(iss, path, "sims");
     ck.sims.stage2 = field<long long>(iss, path, "sims");
     ck.sims.other = field<long long>(iss, path, "sims");
-  }
-  {
-    auto iss = expect(in, path, "sched");
-    ck.sched.session_hits = field<long long>(iss, path, "sched");
-    ck.sched.cold_opens = field<long long>(iss, path, "sched");
-    ck.sched.warm_opens = field<long long>(iss, path, "sched");
-    ck.sched.affinity_hits = field<long long>(iss, path, "sched");
-    ck.sched.steals = field<long long>(iss, path, "sched");
-    ck.sched.migrations = field<long long>(iss, path, "sched");
   }
   {
     auto iss = expect(in, path, "fails");

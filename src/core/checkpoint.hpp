@@ -13,9 +13,10 @@
 // screen state fully reproduce the candidate's stream position.  Together
 // with the optimizer RNG state and the normalized scheduler blob store
 // (EvalScheduler::checkpoint_blobs), resuming from generation g replays the
-// remaining generations bit-identically to the uninterrupted run (with one
-// worker thread; timing-dependent scheduler event counters may differ with
-// more).
+// remaining generations bit-identically to the uninterrupted run, at any
+// worker count (batch width 1, fail points disarmed).  The saved counters
+// are the run's outcome only -- simulations per phase and quarantines per
+// reason; scheduler events are process telemetry and are not saved.
 //
 // Doubles are stored at precision 17 (shortest exactly-round-tripping
 // decimal length for binary64), the same discipline as ResultsCache.
@@ -33,9 +34,9 @@
 namespace moheco::core {
 
 /// On-disk checkpoint format version; bumped on layout changes.  A loader
-/// seeing an unknown version throws instead of guessing (forward
-/// compatibility is "re-run from scratch", never silent misparse).
-inline constexpr int kCheckpointVersion = 1;
+/// seeing any other version throws instead of guessing (compatibility is
+/// "re-run from scratch", never silent misparse).
+inline constexpr int kCheckpointVersion = 2;
 
 struct Checkpoint {
   // --- identity: validated against the resuming run's options ---
@@ -61,7 +62,6 @@ struct Checkpoint {
 
   // --- counters ---
   mc::SimBreakdown sims;
-  mc::SchedBreakdown sched;
   mc::FailBreakdown fails;
 
   // --- population ---

@@ -457,7 +457,6 @@ MohecoResult MohecoOptimizer::run_impl(int max_generations) {
   }
   result.best = std::move(best);
   result.sim_breakdown = sims_.breakdown();
-  result.sched_breakdown = sims_.sched_breakdown();
   result.fail_breakdown = sims_.fail_breakdown();
   result.total_simulations = result.sim_breakdown.total();
   return result;
@@ -490,7 +489,6 @@ void MohecoOptimizer::write_checkpoint(int generation, bool done,
   ck.rng = rng_.state();
   ck.last_local_search_x = last_local_search_x_;
   ck.sims = sims_.breakdown();
-  ck.sched = sims_.sched_breakdown();
   ck.fails = sims_.fail_breakdown();
   ck.members.reserve(population_.size());
   for (const Member& m : population_) {
@@ -564,7 +562,7 @@ bool MohecoOptimizer::resume_from_checkpoint(MohecoResult& result,
   rng_.set_state(ck.rng);
   stream_counter_ = ck.stream_counter;
   last_local_search_x_ = ck.last_local_search_x;
-  sims_.restore(ck.sims, ck.sched, ck.fails);
+  sims_.restore(ck.sims, ck.fails);
   scheduler_->import_blobs(*problem_, ck.blobs);
   result.generations = ck.result_generations;
   result.reached_full_yield = ck.reached_full_yield;

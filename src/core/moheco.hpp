@@ -81,15 +81,13 @@ struct MohecoOptions {
   /// each file landing via atomic temp-file + rename.  Checkpoint mode
   /// normalizes the scheduler at each generation boundary (live sessions
   /// parked to the blob store) so a resumed run rebuilds the exact same
-  /// scheduler state; MC tallies and reported results are unchanged, but
-  /// warm-path scheduler event counts differ from a non-checkpointed run.
+  /// scheduler state; the result is the same as a non-checkpointed run's.
   std::string checkpoint_dir;
   /// With `resume`, run() first tries to load `checkpoint_dir`'s state and
   /// continues from the last completed generation; the final result is
-  /// bit-identical to the uninterrupted run (single-threaded; with threads
-  /// the MC tallies still match but timing-dependent scheduler event
-  /// counters may differ).  A missing checkpoint starts fresh; a checkpoint
-  /// from a different problem/options shape throws.
+  /// bit-identical to the uninterrupted run at any thread count (batch
+  /// width 1, fail points disarmed).  A missing checkpoint starts fresh; a
+  /// checkpoint from a different problem/options shape throws.
   bool resume = false;
   /// Cooperative cancellation hook, polled at generation boundaries (after
   /// every flush point, before the next generation's work is enqueued).
@@ -138,9 +136,6 @@ struct MohecoResult {
   /// Per-phase split of total_simulations (screen / stage-1 / OCBA rounds /
   /// stage-2 / other), for the ablation benches' budget accounting.
   mc::SimBreakdown sim_breakdown;
-  /// Warm-path scheduler events of the run (session cache hits, cold/warm
-  /// opens, affinity hits, steals, migrations).
-  mc::SchedBreakdown sched_breakdown;
   /// Candidates quarantined by the fault-containment layer, split by where
   /// the failure surfaced (session open / estimation / screen).  All zero
   /// on a healthy run.

@@ -132,7 +132,7 @@ double reference_yield(const YieldProblem& problem, std::span<const double> x,
 /// cached sessions, and a re-estimate of a design point whose session was
 /// evicted revives it from the scheduler's warm-start blob store instead of
 /// re-running the nominal measurement.  When `sims` is non-null the samples
-/// are counted under SimPhase::kOther (plus the scheduler events).
+/// are counted under SimPhase::kOther.
 double reference_yield(const YieldProblem& problem, std::span<const double> x,
                        long long count, std::uint64_t seed,
                        EvalScheduler& scheduler,

@@ -104,8 +104,8 @@ ResultMap EvalScheduler::checkpoint_blobs() {
   std::lock_guard<std::mutex> maintenance(maintenance_mutex_);
   // Park every live session, then drop the worker caches entirely: a
   // resumed run starts with cold caches, so the checkpointed run must
-  // continue from cold caches too for the eviction/affinity decisions (and
-  // thus the sched event counts) to match from here on.
+  // continue from cold caches too for the eviction/affinity decisions to
+  // match from here on.
   for (WorkerCache& cache : caches_) {
     for (CacheEntry& entry : cache.entries) {
       if (entry.session) {
@@ -540,15 +540,10 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
       cold_opens_.load(std::memory_order_relaxed) - cold_before;
   const long long flush_warm =
       warm_opens_.load(std::memory_order_relaxed) - warm_before;
-  sims.add_event(SchedEvent::kSessionHit, flush_session_hits);
-  sims.add_event(SchedEvent::kSessionOpenCold, flush_cold);
-  sims.add_event(SchedEvent::kSessionOpenWarm, flush_warm);
-  sims.add_event(SchedEvent::kAffinityHit, flush_hits);
-  sims.add_event(SchedEvent::kSteal, flush_steals);
-  sims.add_event(SchedEvent::kMigration, flush_migrations);
 
-  // Process-global registry totals over the same deltas SimCounter just
-  // recorded (SimCounter stays the per-run view; see docs/observability.md).
+  // The flush's scheduler events go to the process registry only: they
+  // depend on timing at more than one worker, so they stay out of the
+  // run's SimCounter and result (see docs/observability.md).
   {
     static obs::Counter& c_session_hits =
         obs::registry().counter("sched.session_hits");

@@ -24,7 +24,7 @@
 //     worker's queue and workers steal only after draining their own, so a
 //     hot candidate's session lives on ONE worker instead of being rebuilt
 //     on several.  Affinity hit/steal/migration counts are exposed here and
-//     recorded into the flush's SimCounter.
+//     added to the sched.* registry counters at each flush.
 //   - Warm-start handoff: when a session is evicted, its warm_start_blob()
 //     (see src/mc/yield_problem.hpp) is parked in a scheduler-wide LRU blob
 //     store keyed by a hash of the design vector; a later cache miss for
@@ -123,13 +123,15 @@ class EvalScheduler {
   /// the tallies, and counts batch samples under their enqueue phase (jobs
   /// enqueued with kOther fall back to `phase`); screens always count under
   /// kScreen.  Scheduler events (cache hits, cold/warm opens, affinity
-  /// hits, steals, migrations) incurred by the flush are added to `sims` as
-  /// well.  A throwing session open or evaluation is contained to its own
-  /// job: the candidate is marked failed with a FailEvent reason code (and
-  /// counted in `sims`), its job is dropped untallied, and every other job
-  /// tallies bit-identically to a flush that never contained the failing
-  /// one.  Only pool-infrastructure errors still propagate (the whole job
-  /// set is then dropped and the scheduler stays usable).
+  /// hits, steals, migrations) incurred by the flush go to this object's
+  /// accessors and the sched.* registry counters, not to `sims`: at more
+  /// than one worker they depend on timing.  A throwing session open or
+  /// evaluation is contained to its own job: the candidate is marked failed
+  /// with a FailEvent reason code (and counted in `sims`), its job is
+  /// dropped untallied, and every other job tallies bit-identically to a
+  /// flush that never contained the failing one.  Only pool-infrastructure
+  /// errors still propagate (the whole job set is then dropped and the
+  /// scheduler stays usable).
   void flush(SimCounter& sims, SimPhase phase = SimPhase::kOther);
 
   /// Drops every queued job untallied (their stream positions stay

@@ -3,7 +3,12 @@
 // The paper reports costs in "number of simulations"; every evaluation of a
 // (design, sample) pair -- including the nominal acceptance-sampling screens
 // -- increments this counter exactly once.  Counts are kept per phase of the
-// two-stage flow so the ablation benches can report where the budget went.
+// two-stage flow so the ablation benches can report where the budget went,
+// next to the candidates quarantined per reason.  That is all of a run's
+// outcome that the result JSON and the checkpoint carry; with fail points
+// disarmed it depends on the run's inputs alone.  Process-wide telemetry
+// (scheduler session and affinity events, degradation-ladder rungs) lives
+// only in the obs::Registry (see docs/observability.md).
 #pragma once
 
 #include <atomic>
@@ -21,20 +26,6 @@ enum class SimPhase : int {
 };
 
 inline constexpr std::size_t kNumSimPhases = 5;
-
-/// Warm-path scheduler events, accumulated alongside the sample counts so
-/// the ablation benches can report how the evaluation pipeline behaved
-/// (EvalScheduler records one entry per cache lookup / task placement).
-enum class SchedEvent : int {
-  kSessionHit = 0,   ///< session-cache hits (no construction)
-  kSessionOpenCold,  ///< sessions constructed from scratch (full nominal)
-  kSessionOpenWarm,  ///< sessions revived from a warm-start blob
-  kAffinityHit,      ///< tasks executed on their candidate's preferred worker
-  kSteal,            ///< tasks executed on another worker (load balancing)
-  kMigration,        ///< candidates whose preferred worker was reassigned
-};
-
-inline constexpr std::size_t kNumSchedEvents = 6;
 
 /// Fault-containment events: why a candidate was quarantined during a
 /// flush.  Each quarantine marks exactly one candidate failed with one of
@@ -72,40 +63,8 @@ struct FailBreakdown {
     quarantine_screen += rhs.quarantine_screen;
     return *this;
   }
-};
 
-inline const char* to_string(SchedEvent event) {
-  switch (event) {
-    case SchedEvent::kSessionHit: return "session_hits";
-    case SchedEvent::kSessionOpenCold: return "cold_opens";
-    case SchedEvent::kSessionOpenWarm: return "warm_opens";
-    case SchedEvent::kAffinityHit: return "affinity_hits";
-    case SchedEvent::kSteal: return "steals";
-    case SchedEvent::kMigration: return "migrations";
-  }
-  return "?";
-}
-
-/// A plain (non-atomic) snapshot of the scheduler-event totals.
-struct SchedBreakdown {
-  long long session_hits = 0;
-  long long cold_opens = 0;
-  long long warm_opens = 0;
-  long long affinity_hits = 0;
-  long long steals = 0;
-  long long migrations = 0;
-
-  long long session_opens() const { return cold_opens + warm_opens; }
-
-  SchedBreakdown& operator+=(const SchedBreakdown& rhs) {
-    session_hits += rhs.session_hits;
-    cold_opens += rhs.cold_opens;
-    warm_opens += rhs.warm_opens;
-    affinity_hits += rhs.affinity_hits;
-    steals += rhs.steals;
-    migrations += rhs.migrations;
-    return *this;
-  }
+  bool operator==(const FailBreakdown&) const = default;
 };
 
 inline const char* to_string(SimPhase phase) {
@@ -137,6 +96,8 @@ struct SimBreakdown {
     other += rhs.other;
     return *this;
   }
+
+  bool operator==(const SimBreakdown&) const = default;
 };
 
 class SimCounter {
@@ -154,16 +115,6 @@ class SimCounter {
 
   long long phase_total(SimPhase phase) const {
     return counts_[static_cast<std::size_t>(phase)].load(
-        std::memory_order_relaxed);
-  }
-
-  void add_event(SchedEvent event, long long n = 1) {
-    events_[static_cast<std::size_t>(event)].fetch_add(
-        n, std::memory_order_relaxed);
-  }
-
-  long long event_total(SchedEvent event) const {
-    return events_[static_cast<std::size_t>(event)].load(
         std::memory_order_relaxed);
   }
 
@@ -185,17 +136,6 @@ class SimCounter {
     return b;
   }
 
-  SchedBreakdown sched_breakdown() const {
-    SchedBreakdown b;
-    b.session_hits = event_total(SchedEvent::kSessionHit);
-    b.cold_opens = event_total(SchedEvent::kSessionOpenCold);
-    b.warm_opens = event_total(SchedEvent::kSessionOpenWarm);
-    b.affinity_hits = event_total(SchedEvent::kAffinityHit);
-    b.steals = event_total(SchedEvent::kSteal);
-    b.migrations = event_total(SchedEvent::kMigration);
-    return b;
-  }
-
   SimBreakdown breakdown() const {
     SimBreakdown b;
     b.screen = phase_total(SimPhase::kScreen);
@@ -208,13 +148,11 @@ class SimCounter {
 
   void reset() {
     for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-    for (auto& e : events_) e.store(0, std::memory_order_relaxed);
     for (auto& f : fails_) f.store(0, std::memory_order_relaxed);
   }
 
   /// Checkpoint restore: overwrites every counter from saved snapshots.
-  void restore(const SimBreakdown& sim, const SchedBreakdown& sched,
-               const FailBreakdown& fail) {
+  void restore(const SimBreakdown& sim, const FailBreakdown& fail) {
     auto set = [](std::atomic<long long>& c, long long v) {
       c.store(v, std::memory_order_relaxed);
     };
@@ -223,17 +161,6 @@ class SimCounter {
     set(counts_[static_cast<std::size_t>(SimPhase::kOcba)], sim.ocba);
     set(counts_[static_cast<std::size_t>(SimPhase::kStage2)], sim.stage2);
     set(counts_[static_cast<std::size_t>(SimPhase::kOther)], sim.other);
-    set(events_[static_cast<std::size_t>(SchedEvent::kSessionHit)],
-        sched.session_hits);
-    set(events_[static_cast<std::size_t>(SchedEvent::kSessionOpenCold)],
-        sched.cold_opens);
-    set(events_[static_cast<std::size_t>(SchedEvent::kSessionOpenWarm)],
-        sched.warm_opens);
-    set(events_[static_cast<std::size_t>(SchedEvent::kAffinityHit)],
-        sched.affinity_hits);
-    set(events_[static_cast<std::size_t>(SchedEvent::kSteal)], sched.steals);
-    set(events_[static_cast<std::size_t>(SchedEvent::kMigration)],
-        sched.migrations);
     set(fails_[static_cast<std::size_t>(FailEvent::kQuarantineOpen)],
         fail.quarantine_open);
     set(fails_[static_cast<std::size_t>(FailEvent::kQuarantineEval)],
@@ -244,7 +171,6 @@ class SimCounter {
 
  private:
   std::atomic<long long> counts_[kNumSimPhases] = {};
-  std::atomic<long long> events_[kNumSchedEvents] = {};
   std::atomic<long long> fails_[kNumFailEvents] = {};
 };
 

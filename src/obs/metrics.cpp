@@ -29,10 +29,6 @@ std::uint64_t Counter::value() const {
   return total;
 }
 
-void Counter::reset() {
-  for (auto& shard : shards_) shard.value.store(0, std::memory_order_relaxed);
-}
-
 int Histogram::bucket_index(std::uint64_t v) {
   if (v == 0) return 0;
   int width = 0;
@@ -47,14 +43,6 @@ std::uint64_t Histogram::bucket_upper_bound(int i) {
   if (i <= 0) return 0;
   if (i >= kHistogramBuckets - 1) return ~std::uint64_t{0};
   return (std::uint64_t{1} << i) - 1;
-}
-
-void Histogram::reset() {
-  for (auto& shard : shards_) {
-    for (auto& b : shard.buckets) b.store(0, std::memory_order_relaxed);
-    shard.count.store(0, std::memory_order_relaxed);
-    shard.sum.store(0, std::memory_order_relaxed);
-  }
 }
 
 void HistogramSnapshot::merge(const HistogramSnapshot& other) {
@@ -153,14 +141,6 @@ Snapshot Registry::snapshot() const {
     snap.histograms.push_back(std::move(hs));
   }
   return snap;
-}
-
-void Registry::reset() {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  for (auto& [name, counter] : i.counters) counter->reset();
-  for (auto& [name, gauge] : i.gauges) gauge->reset();
-  for (auto& [name, hist] : i.histograms) hist->reset();
 }
 
 Registry& registry() {

@@ -679,8 +679,7 @@ void Daemon::run_job(const std::shared_ptr<Job>& job) {
   // a fresh job finds no checkpoint and starts clean, while a daemon
   // restarted after a mid-job crash replays the interrupted run from its
   // last completed generation.  Must happen BEFORE computing rkey: the
-  // checkpoint bit is part of the result fingerprint (checkpoint-mode
-  // scheduler normalization changes warm-path event counters).
+  // checkpoint bit is part of the result fingerprint.
   if (!options_.checkpoint_dir.empty() && job->spec.mode == JobMode::kOptimize) {
     const std::string ident =
         deck_content_hash(job->spec.deck_text) + "_" +

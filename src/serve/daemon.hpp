@@ -4,7 +4,7 @@
 // serve::JobRunner) and runs submitted deck jobs against it sequentially --
 // each job parallelizes across the whole pool, so running jobs one at a
 // time is the throughput-optimal schedule while keeping per-job results
-// bit-identical to a local moheco_cli run on the same pool width.
+// bit-identical to a local moheco_cli run with the same options.
 //
 // Threading model:
 //   - one accept thread per listener (Unix-domain socket and/or TCP on
@@ -80,7 +80,8 @@ struct DaemonOptions {
   /// checkpoints its generation-granular state under
   /// DIR/<deck-hash>_<fingerprint-hash>/ and resumes from it if present --
   /// a daemon killed mid-job replays the interrupted run to the identical
-  /// result after restart (bit-identical at --threads=1).
+  /// result after restart (bit-identical at any pool width for batch width
+  /// 1 with fail points disarmed).
   std::string checkpoint_dir;
   /// Chrome trace-event export: when non-empty, span tracing is armed at
   /// start() and the buffered trace is written here when the daemon stops.

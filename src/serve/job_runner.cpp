@@ -50,17 +50,19 @@ std::string result_fingerprint(const JobSpec& spec, int workers) {
   // deck_name is part of the fingerprint because it shapes the result JSON
   // ("deck" field); unlike the warm key, an exact-repeat hit must replay
   // the SAME bytes the fresh run would emit.
-  oss << "res1 name=" << spec.deck_name
+  oss << "res2 name=" << spec.deck_name
       << " mode=" << to_string(spec.mode) << " seed=" << m.seed
       << " sampling=" << stats::to_string(m.estimation.mc.sampling)
       << " workers=" << workers << ' ' << warm_fingerprint(spec)
       << " batch=" << spec.eval.batch
       << " sized=" << (spec.want_sized_deck ? 1 : 0);
-  // Fault-containment bits.  ckpt: checkpoint-mode scheduler normalization
-  // changes the warm-path event counters in the JSON, so checkpointed and
-  // plain runs must not share result-cache rows.  faults: an armed run's
-  // results are an injection experiment, never interchangeable with (or
-  // reusable for) a healthy run's.
+  // Fault-containment bits.  ckpt (like workers above): a healthy result at
+  // batch width 1 no longer depends on checkpointing or the pool width, but
+  // at batch > 1 the lane_demotion count in fail_breakdown has been seen to
+  // vary between runs of one seed, so checkpointed and plain runs keep
+  // separate result-cache rows.  faults: an armed run's results are an
+  // injection experiment, never interchangeable with (or reusable for) a
+  // healthy run's.
   if (!m.checkpoint_dir.empty()) oss << " ckpt=1";
   if (fail::armed()) oss << " faults=" << fail::spec_string();
   if (spec.mode == JobMode::kEstimate) {
@@ -130,17 +132,6 @@ std::string json_sim_breakdown(const mc::SimBreakdown& b) {
   obj.add_int("stage2", b.stage2);
   obj.add_int("other", b.other);
   obj.add_int("total", b.total());
-  return obj.str();
-}
-
-std::string json_sched_breakdown(const mc::SchedBreakdown& b) {
-  JsonObject obj;
-  obj.add_int("session_hits", b.session_hits);
-  obj.add_int("cold_opens", b.cold_opens);
-  obj.add_int("warm_opens", b.warm_opens);
-  obj.add_int("affinity_hits", b.affinity_hits);
-  obj.add_int("steals", b.steals);
-  obj.add_int("migrations", b.migrations);
   return obj.str();
 }
 
@@ -241,8 +232,6 @@ JobResult JobRunner::run(const JobSpec& spec, const ResultMap* warm_blobs,
       json.add_int("samples", spec.estimate_samples);
       json.add_int("warm_blobs_imported",
                    static_cast<long long>(out.warm_blobs_imported));
-      json.add_raw("sched_breakdown",
-                   json_sched_breakdown(sims.sched_breakdown()));
       const fail::LadderSnapshot ladder =
           fail::ladder_delta(ladder_before, fail::ladder_snapshot());
       const mc::FailBreakdown fails = sims.fail_breakdown();
@@ -277,8 +266,6 @@ JobResult JobRunner::run(const JobSpec& spec, const ResultMap* warm_blobs,
       json.add_int("warm_blobs_imported",
                    static_cast<long long>(out.warm_blobs_imported));
       json.add_raw("sim_breakdown", json_sim_breakdown(result.sim_breakdown));
-      json.add_raw("sched_breakdown",
-                   json_sched_breakdown(result.sched_breakdown));
       const fail::LadderSnapshot ladder =
           fail::ladder_delta(ladder_before, fail::ladder_snapshot());
       if (want_fail_breakdown(result.fail_breakdown, ladder)) {

@@ -84,8 +84,8 @@ std::string deck_content_hash(const std::string& deck_text);
 /// validity (evaluation options; NOT seed, mode, or sample counts).
 std::string warm_fingerprint(const JobSpec& spec);
 /// Canonical description of everything that shapes the result JSON.
-/// `workers` is the effective pool width (it shows up in the scheduler
-/// breakdown fields, so cached JSON is attributed to its pool shape).
+/// `workers` is the effective pool width, so cached JSON stays attributed
+/// to its pool shape (see the ckpt term in the definition).
 std::string result_fingerprint(const JobSpec& spec, int workers);
 
 /// ResultsCache keys built from the fingerprints above.

@@ -1,7 +1,9 @@
 #include "src/spice/mna.hpp"
 
 #include <algorithm>
+#include <complex>
 #include <cstdlib>
+#include <type_traits>
 
 #include "src/common/error.hpp"
 #include "src/common/failpoint.hpp"
@@ -175,10 +177,17 @@ void MnaSystem<Scalar>::solve_batch(std::vector<Scalar>& b) const {
 
 template <typename Scalar>
 bool MnaSystem<Scalar>::factor() {
+  // solver.factors counts every factorization (real DC/transient and
+  // complex AC); solver.complex_factors counts the AC share alone.
   static obs::Counter& factors = obs::registry().counter("solver.factors");
   static obs::Histogram& factor_us =
       obs::registry().histogram("solver.factor_us");
   factors.add(1);
+  if constexpr (std::is_same_v<Scalar, std::complex<double>>) {
+    static obs::Counter& complex_factors =
+        obs::registry().counter("solver.complex_factors");
+    complex_factors.add(1);
+  }
   obs::ScopedTimer timer(factor_us);
   dense_fallback_ = false;
   require(pattern_ready_, "MnaSystem::factor: no assembly captured");

@@ -344,7 +344,6 @@ TEST(Checkpoint, SaveLoadRoundTripsEveryField) {
   ck.last_local_search_x = {0.1, -0.2, 1e-300};
   ck.sims.screen = 10;
   ck.sims.stage2 = 20;
-  ck.sched.cold_opens = 4;
   ck.fails.quarantine_open = 1;
   core::Checkpoint::MemberState m;
   m.x = {0.25, -0.5, 0.75};
@@ -388,7 +387,6 @@ TEST(Checkpoint, SaveLoadRoundTripsEveryField) {
   EXPECT_EQ(loaded->last_local_search_x, ck.last_local_search_x);
   EXPECT_EQ(loaded->sims.screen, ck.sims.screen);
   EXPECT_EQ(loaded->sims.stage2, ck.sims.stage2);
-  EXPECT_EQ(loaded->sched.cold_opens, ck.sched.cold_opens);
   EXPECT_EQ(loaded->fails.quarantine_open, ck.fails.quarantine_open);
   ASSERT_EQ(loaded->members.size(), 2u);
   EXPECT_EQ(loaded->members[0].x, m.x);
@@ -435,53 +433,84 @@ TEST(Checkpoint, GarbageAndTruncationThrowInsteadOfMisparse) {
   EXPECT_THROW(core::load_checkpoint(dir2.path()), Error);
 }
 
+TEST(Checkpoint, VersionOneIsRefusedOnLoad) {
+  // A version-1 file is a version-2 file plus a "sched" counter line after
+  // "sims"; the loader must refuse it rather than parse around the line.
+  TempDir dir;
+  core::Checkpoint ck;
+  ck.dim = 1;
+  core::save_checkpoint(dir.path(), ck);
+  std::ifstream in(dir.file("checkpoint.txt"));
+  std::stringstream whole;
+  whole << in.rdbuf();
+  std::string text = whole.str();
+  const std::string header =
+      "moheco-ckpt " + std::to_string(core::kCheckpointVersion) + "\n";
+  ASSERT_EQ(text.rfind(header, 0), 0u);
+  text.replace(0, header.size(), "moheco-ckpt 1\n");
+  const std::size_t fails_line = text.find("\nfails ");
+  ASSERT_NE(fails_line, std::string::npos);
+  text.insert(fails_line, "\nsched 3 1 0 2 1 0");
+  {
+    std::ofstream out(dir.file("checkpoint.txt"), std::ios::trunc);
+    out << text;
+  }
+  EXPECT_THROW(core::load_checkpoint(dir.path()), Error);
+}
+
 TEST(Checkpoint, ResumeReproducesTheUninterruptedRunBitForBit) {
   // Max yield ~89% (below the full-yield stop), so the run uses all its
-  // generations and the interruption lands mid-flight.
+  // generations and the interruption lands mid-flight.  The result depends
+  // on the run's inputs alone, so resume reproduces it at any worker count.
   const mc::QuadraticYieldProblem problem(3, 6, 1.0, 0.8, 2.0);
-  const auto make_options = [](const std::string& dir) {
-    core::MohecoOptions options;
-    options.population = 10;
-    options.estimation.n0 = 10;
-    options.estimation.sim_avg = 25;
-    options.estimation.n_max = 120;
-    options.max_generations = 6;
-    options.stop_stagnation = 50;
-    options.use_memetic = false;
-    options.threads = 1;  // resume byte-identity is gated at one worker
-    options.seed = 17;
-    options.checkpoint_dir = dir;
-    return options;
-  };
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto make_options = [threads](const std::string& dir) {
+      core::MohecoOptions options;
+      options.population = 10;
+      options.estimation.n0 = 10;
+      options.estimation.sim_avg = 25;
+      options.estimation.n_max = 120;
+      options.max_generations = 6;
+      options.stop_stagnation = 50;
+      options.use_memetic = false;
+      options.threads = threads;
+      options.seed = 17;
+      options.checkpoint_dir = dir;
+      return options;
+    };
 
-  TempDir dir_a;  // the uninterrupted reference, checkpointing all along
-  const core::MohecoResult uninterrupted =
-      core::MohecoOptimizer(problem, make_options(dir_a.path())).run();
+    TempDir dir_a;  // the uninterrupted reference, checkpointing all along
+    const core::MohecoResult uninterrupted =
+        core::MohecoOptimizer(problem, make_options(dir_a.path())).run();
 
-  TempDir dir_b;  // the "crashed" run: stopped after a few generations
-  core::MohecoOptions interrupted_options = make_options(dir_b.path());
-  int polls = 0;
-  interrupted_options.should_stop = [&polls] { return ++polls > 2; };
-  const core::MohecoResult interrupted =
-      core::MohecoOptimizer(problem, interrupted_options).run();
-  EXPECT_TRUE(interrupted.cancelled);
-  ASSERT_TRUE(core::load_checkpoint(dir_b.path()).has_value());
+    TempDir dir_b;  // the "crashed" run: stopped after a few generations
+    core::MohecoOptions interrupted_options = make_options(dir_b.path());
+    int polls = 0;
+    interrupted_options.should_stop = [&polls] { return ++polls > 2; };
+    const core::MohecoResult interrupted =
+        core::MohecoOptimizer(problem, interrupted_options).run();
+    EXPECT_TRUE(interrupted.cancelled);
+    ASSERT_TRUE(core::load_checkpoint(dir_b.path()).has_value());
 
-  core::MohecoOptions resume_options = make_options(dir_b.path());
-  resume_options.resume = true;
-  const core::MohecoResult resumed =
-      core::MohecoOptimizer(problem, resume_options).run();
+    core::MohecoOptions resume_options = make_options(dir_b.path());
+    resume_options.resume = true;
+    const core::MohecoResult resumed =
+        core::MohecoOptimizer(problem, resume_options).run();
 
-  EXPECT_FALSE(resumed.cancelled);
-  ASSERT_EQ(resumed.best.x.size(), uninterrupted.best.x.size());
-  for (std::size_t i = 0; i < resumed.best.x.size(); ++i) {
-    EXPECT_DOUBLE_EQ(resumed.best.x[i], uninterrupted.best.x[i]) << i;
+    EXPECT_FALSE(resumed.cancelled);
+    ASSERT_EQ(resumed.best.x.size(), uninterrupted.best.x.size());
+    for (std::size_t i = 0; i < resumed.best.x.size(); ++i) {
+      EXPECT_DOUBLE_EQ(resumed.best.x[i], uninterrupted.best.x[i]) << i;
+    }
+    EXPECT_EQ(resumed.best.fitness.yield, uninterrupted.best.fitness.yield);
+    EXPECT_EQ(resumed.best.samples, uninterrupted.best.samples);
+    EXPECT_EQ(resumed.total_simulations, uninterrupted.total_simulations);
+    EXPECT_EQ(resumed.sim_breakdown, uninterrupted.sim_breakdown);
+    EXPECT_EQ(resumed.fail_breakdown, uninterrupted.fail_breakdown);
+    EXPECT_EQ(resumed.generations, uninterrupted.generations);
+    EXPECT_EQ(resumed.reached_full_yield, uninterrupted.reached_full_yield);
   }
-  EXPECT_EQ(resumed.best.fitness.yield, uninterrupted.best.fitness.yield);
-  EXPECT_EQ(resumed.best.samples, uninterrupted.best.samples);
-  EXPECT_EQ(resumed.total_simulations, uninterrupted.total_simulations);
-  EXPECT_EQ(resumed.generations, uninterrupted.generations);
-  EXPECT_EQ(resumed.reached_full_yield, uninterrupted.reached_full_yield);
 }
 
 TEST(Checkpoint, ResumeRejectsAMismatchedRunShape) {

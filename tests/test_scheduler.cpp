@@ -15,6 +15,7 @@
 #include "src/mc/eval_scheduler.hpp"
 #include "src/mc/ocba.hpp"
 #include "src/mc/synthetic.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/stats/rng.hpp"
 
 namespace moheco::mc {
@@ -303,6 +304,36 @@ TallySnapshot snapshot(
   return s;
 }
 
+/// A reading of the sched.* registry counters that EvalScheduler::flush
+/// feeds.  The registry is process-wide and never resets, so the difference
+/// of two readings is what the flushes in between recorded.
+struct SchedCounts {
+  long long session_hits = 0;
+  long long cold_opens = 0;
+  long long warm_opens = 0;
+  long long affinity_hits = 0;
+  long long steals = 0;
+  long long migrations = 0;
+
+  static SchedCounts read() {
+    const auto value = [](const char* name) {
+      return static_cast<long long>(obs::registry().counter(name).value());
+    };
+    return {value("sched.session_hits"), value("sched.cold_opens"),
+            value("sched.warm_opens"), value("sched.affinity_hits"),
+            value("sched.steals"), value("sched.migrations")};
+  }
+
+  SchedCounts operator-(const SchedCounts& before) const {
+    return {session_hits - before.session_hits,
+            cold_opens - before.cold_opens,
+            warm_opens - before.warm_opens,
+            affinity_hits - before.affinity_hits,
+            steals - before.steals,
+            migrations - before.migrations};
+  }
+};
+
 std::vector<std::unique_ptr<CandidateYield>> make_pool(
     const YieldProblem& problem, int count) {
   std::vector<std::unique_ptr<CandidateYield>> owners;
@@ -535,21 +566,24 @@ TEST(EvalScheduler, StickyAffinityCutsSessionChurnAndKeepsTallies) {
           problem, std::vector<double>{0.1 * i - 0.8},
           stats::derive_seed(31, static_cast<std::uint64_t>(i))));
     }
+    const SchedCounts before = SchedCounts::read();
     for (int round = 0; round < kRounds; ++round) {
       for (auto& c : owners) scheduler.enqueue(*c, kPerRound, McOptions{});
       scheduler.flush(sims);
     }
     struct Out {
       long long opens;
+      long long session_hits;
       long long affinity_hits;
       long long steals;
       long long migrations;
       TallySnapshot tallies;
-      SchedBreakdown sched;
+      SchedCounts sched;
     };
-    return Out{problem.opens(), scheduler.affinity_hits(), scheduler.steals(),
+    return Out{problem.opens(), scheduler.session_hits(),
+               scheduler.affinity_hits(), scheduler.steals(),
                scheduler.migrations(), snapshot(owners),
-               sims.sched_breakdown()};
+               SchedCounts::read() - before};
   };
 
   const auto sticky = run(true);
@@ -557,9 +591,10 @@ TEST(EvalScheduler, StickyAffinityCutsSessionChurnAndKeepsTallies) {
 
   // Tallies never depend on the claiming policy.
   EXPECT_EQ(sticky.tallies, contiguous.tallies);
-  // Every chunk was either an affinity hit or a steal, and the flush's
-  // SimCounter saw the same events the scheduler counted.
+  // Every chunk was either an affinity hit or a steal, and the sched.*
+  // registry counters saw the same events the scheduler counted.
   EXPECT_GT(sticky.affinity_hits, 0);
+  EXPECT_EQ(sticky.session_hits, sticky.sched.session_hits);
   EXPECT_EQ(sticky.affinity_hits, sticky.sched.affinity_hits);
   EXPECT_EQ(sticky.steals, sticky.sched.steals);
   EXPECT_EQ(sticky.migrations, sticky.sched.migrations);
@@ -645,6 +680,7 @@ TEST(EvalScheduler, EvictedSessionsReviveFromBlobStore) {
         problem, std::vector<double>{0.3}, 11));
     owners.push_back(std::make_unique<CandidateYield>(
         problem, std::vector<double>{-0.4}, 12));
+    const SchedCounts before = SchedCounts::read();
     for (int round = 0; round < 3; ++round) {
       for (auto& c : owners) {
         scheduler.refine(*c, 50, sims, McOptions{});
@@ -653,10 +689,10 @@ TEST(EvalScheduler, EvictedSessionsReviveFromBlobStore) {
     struct Out {
       TallySnapshot tallies;
       long long warm_opens;
-      SchedBreakdown sched;
+      SchedCounts sched;
     };
     return Out{snapshot(owners), scheduler.warm_opens(),
-               sims.sched_breakdown()};
+               SchedCounts::read() - before};
   };
 
   BlobProblem evicting;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <complex>
 
+#include "src/obs/metrics.hpp"
 #include "src/spice/ac_solver.hpp"
 #include "src/spice/dc_solver.hpp"
 #include "src/spice/mosfet.hpp"
@@ -223,6 +224,37 @@ TEST(Ac, RcLowpassPole) {
   // Deep in the stopband the slope is -20 dB/dec.
   ASSERT_EQ(ac.solve(100.0 * fc), SolveStatus::kOk);
   EXPECT_NEAR(std::abs(ac.voltage(out)), 1.0 / 100.0, 2e-3);
+}
+
+TEST(Ac, EverySolveCountsOneComplexFactor) {
+  // solver.factors totals every factorization; solver.complex_factors
+  // counts the AC (complex) share alone.
+  Netlist n;
+  const NodeId in = n.node("in");
+  const NodeId out = n.node("out");
+  n.add_vsource("V1", in, 0, 0.0, 1.0);
+  n.add_resistor("R1", in, out, 1e3);
+  n.add_capacitor("C1", out, 0, 1e-9);
+  obs::Counter& factors = obs::registry().counter("solver.factors");
+  obs::Counter& complex_factors =
+      obs::registry().counter("solver.complex_factors");
+
+  const std::uint64_t dc_factors_before = factors.value();
+  const std::uint64_t dc_complex_before = complex_factors.value();
+  DcSolver dc(n);
+  ASSERT_EQ(dc.solve(DcOptions{}), SolveStatus::kOk);
+  EXPECT_GT(factors.value(), dc_factors_before);
+  EXPECT_EQ(complex_factors.value(), dc_complex_before);
+
+  AcSolver ac(n, dc.op());
+  const std::uint64_t factors_before = factors.value();
+  const std::uint64_t complex_before = complex_factors.value();
+  constexpr std::uint64_t kSolves = 7;
+  for (std::uint64_t i = 0; i < kSolves; ++i) {
+    ASSERT_EQ(ac.solve(1e3 * static_cast<double>(i + 1)), SolveStatus::kOk);
+  }
+  EXPECT_EQ(factors.value() - factors_before, kSolves);
+  EXPECT_EQ(complex_factors.value() - complex_before, kSolves);
 }
 
 TEST(Ac, InductorOpensAtHighFrequency) {
