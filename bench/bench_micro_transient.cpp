@@ -3,9 +3,13 @@
 // once per Monte-Carlo sample), for adaptive and fixed stepping.
 // Establishes the perf baseline for future transient optimizations; run
 // with --scale=full for longer timing windows.
+//
+// Gate (exit 1 on a miss): with span tracing and timing histograms armed
+// (the --trace/--metrics/daemon configuration), the adaptive transient
+// must stay within 3% of its disarmed time.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -13,6 +17,8 @@
 #include "bench/bench_support.hpp"
 #include "src/circuits/topology.hpp"
 #include "src/common/table.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/spice/dc_solver.hpp"
 #include "src/spice/tran_solver.hpp"
 
@@ -44,6 +50,39 @@ Timing time_mode(spice::TranSolver& tran, const spice::TranOptions& options,
                        std::chrono::steady_clock::now() - start)
                        .count();
   return timing;
+}
+
+/// Arms or disarms span tracing and timing histograms together.
+void set_instrumentation(bool armed) {
+  obs::set_timing_enabled(armed);
+  obs::set_trace_enabled(armed);
+}
+
+/// Armed-vs-disarmed cost of the observability layer: the median over reps
+/// of the ratio of armed to disarmed time, each rep alternating armed and
+/// disarmed transients one by one so host drift hits both alike.  Counters
+/// are always on and inside both timings; the ratio bounds what span
+/// tracing and timing histograms add on the solver path.
+double obs_overhead(spice::TranSolver& tran, const spice::TranOptions& options,
+                    const std::vector<double>& op) {
+  constexpr int kReps = 11;
+  constexpr int kRunsPerRep = 30;
+  std::vector<double> ratios(kReps);
+  for (double& ratio : ratios) {
+    double off = 0.0;
+    double on = 0.0;
+    for (int run = 0; run < kRunsPerRep; ++run) {
+      set_instrumentation(false);
+      off += time_mode(tran, options, op, 1).seconds;
+      set_instrumentation(true);
+      on += time_mode(tran, options, op, 1).seconds;
+    }
+    ratio = on / off;
+  }
+  set_instrumentation(false);
+  obs::trace_reset();
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[kReps / 2];
 }
 
 std::string format_rate(double value) {
@@ -112,13 +151,21 @@ int main(int argc, char** argv) {
               "transient micro bench (" + std::to_string(circuit.netlist
                                                              .num_nodes()) +
                   " nodes)");
-  if (!options.json.empty()) {
-    std::ofstream out(options.json);
-    out << "{\"bench_micro_transient\":{\"modes\":[" << json_rows << "]}}\n";
-    if (!out) {
-      std::fprintf(stderr, "failed to write %s\n", options.json.c_str());
-      return 1;
-    }
+
+  const double overhead = obs_overhead(tran, adaptive, op);
+  const bool overhead_ok = overhead <= 1.03;
+  Table obs_table({"instrumentation", "overhead", "gate"});
+  char ratio[32];
+  std::snprintf(ratio, sizeof(ratio), "%.4fx", overhead);
+  obs_table.add_row({"tracing + timing armed vs disarmed", ratio,
+                     overhead_ok ? "ok (<= 1.03x)" : "FAIL (> 1.03x)"});
+  obs_table.print(std::cout, "Observability overhead, adaptive transient");
+
+  char tail[64];
+  std::snprintf(tail, sizeof(tail), ",\"obs_overhead\":%.4f", overhead);
+  if (!bench::write_bench_json(options.json, "bench_micro_transient",
+                               "\"modes\":[" + json_rows + "]" + tail)) {
+    return 1;
   }
-  return 0;
+  return overhead_ok ? 0 : 1;
 }

@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "src/common/log.hpp"
-#include "src/linalg/simd_caps.hpp"
 #include "src/obs/build_info.hpp"
 #include "src/common/parallel.hpp"
 #include "src/mc/candidate_yield.hpp"
@@ -58,7 +57,6 @@ core::MohecoOptions base_options(const BenchOptions& bench) {
 circuits::EvalOptions eval_options(const BenchOptions& bench) {
   circuits::EvalOptions options;
   options.transient = bench.transient;
-  options.batch = bench.batch;
   return options;
 }
 
@@ -191,27 +189,14 @@ std::string json_sim_breakdown(const mc::SimBreakdown& breakdown) {
   return buffer;
 }
 
-std::string json_simd_caps() {
-  const linalg::SimdCaps& caps = linalg::simd_caps();
-  std::string json = "{\"avx2\":";
-  json += caps.avx2 ? "true" : "false";
-  json += ",\"avx512f\":";
-  json += caps.avx512f ? "true" : "false";
-  json += ",\"max_lane_width\":" + std::to_string(caps.max_lane_width) + "}";
-  return json;
-}
-
 bool write_bench_json(const std::string& path, const std::string& bench,
                       const std::string& body) {
   if (path.empty()) return true;
   std::ofstream out(path);
-  // Every bench JSON carries the host's SIMD capability header: perf
-  // numbers are only comparable between runs whose kernels dispatched the
-  // same vector width (CI's regression gate checks this before comparing).
   // The build identity header pins which binary produced the numbers
-  // (version, compiler, SIMD build flag) for artifact forensics.
-  out << "{\"" << bench << "\":{\"simd\":" << json_simd_caps()
-      << ",\"build\":" << obs::build_json() << "," << body << "}}\n";
+  // (version, compiler) for artifact forensics.
+  out << "{\"" << bench << "\":{\"build\":" << obs::build_json() << ","
+      << body << "}}\n";
   out.flush();
   if (!out) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());

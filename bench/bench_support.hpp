@@ -41,8 +41,7 @@ core::MohecoOptions base_options(const BenchOptions& bench);
 
 /// Circuit-evaluation options implied by the bench flags: --transient turns
 /// on the step-bench transient per sample, which also registers the
-/// topology's slew-rate / settling-time specs in the yield criterion, and
-/// --batch=K selects the SoA evaluation batch width.
+/// topology's slew-rate / settling-time specs in the yield criterion.
 circuits::EvalOptions eval_options(const BenchOptions& bench);
 
 struct StudyData {
@@ -79,7 +78,8 @@ BenchOptions bench_prologue(int argc, char** argv, const std::string& name);
 std::string json_sim_breakdown(const mc::SimBreakdown& breakdown);
 
 /// Writes `body` (a JSON object's contents, without the outer braces) to
-/// `path` wrapped as {"<bench>":{<body>}}.  No-op when path is empty;
+/// `path` wrapped as {"<bench>":{"build":{...},<body>}}, the build object
+/// being obs::build_json().  No-op when path is empty;
 /// returns false (and warns on stderr) when the write fails.
 bool write_bench_json(const std::string& path, const std::string& bench,
                       const std::string& body);

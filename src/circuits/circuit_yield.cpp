@@ -11,19 +11,6 @@ mc::SampleResult CircuitYieldProblem::CircuitSession::evaluate(
   return r;
 }
 
-void CircuitYieldProblem::CircuitSession::evaluate_batch(
-    std::span<const double> xis, std::size_t lanes,
-    std::span<mc::SampleResult> out) {
-  perf_batch_.resize(lanes);
-  session_->evaluate_batch(xis, lanes, perf_batch_);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    mc::SampleResult r;
-    r.pass = passes(perf_batch_[l], specs_);
-    r.violation = r.pass ? 0.0 : violation(perf_batch_[l], specs_);
-    out[l] = r;
-  }
-}
-
 CircuitYieldProblem::CircuitYieldProblem(
     std::shared_ptr<const Topology> topology, EvalOptions options)
     : evaluator_(std::move(topology), options) {

@@ -3,7 +3,6 @@
 // its process model, and a sample passes when all specs are met.
 #pragma once
 
-#include <algorithm>
 #include <memory>
 
 #include "src/circuits/evaluator.hpp"
@@ -32,17 +31,9 @@ class CircuitYieldProblem : public mc::YieldProblem {
                    std::span<const double> blob = {})
         : session_(std::make_unique<AmplifierEvaluator::Session>(
               evaluator, x, blob)),
-          specs_(specs),
-          batch_(static_cast<std::size_t>(std::max(
-              1, EvalConfig::resolve_batch(evaluator.options().batch)))) {}
+          specs_(specs) {}
 
     mc::SampleResult evaluate(std::span<const double> xi) override;
-    /// Batched evaluation through the SoA solver kernels; per-lane results
-    /// are identical to scalar evaluate() calls in lane order.
-    void evaluate_batch(std::span<const double> xis, std::size_t lanes,
-                        std::span<mc::SampleResult> out) override;
-    /// The evaluator's configured batch width (EvalConfig::batch).
-    std::size_t preferred_batch() const override { return batch_; }
 
     /// Full metric readout of one sample (empty span: the nominal point).
     Performance evaluate_performance(std::span<const double> xi) {
@@ -59,10 +50,6 @@ class CircuitYieldProblem : public mc::YieldProblem {
    private:
     std::unique_ptr<AmplifierEvaluator::Session> session_;
     std::span<const Spec> specs_;
-    std::size_t batch_ = 1;
-    /// Reused per-lane Performance buffer for evaluate_batch (sessions are
-    /// single-threaded; the scheduler never shares one across workers).
-    std::vector<Performance> perf_batch_;
   };
 
   std::size_t num_design_vars() const override;

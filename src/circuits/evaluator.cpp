@@ -9,7 +9,6 @@
 #include "src/circuits/testbench.hpp"
 #include "src/common/error.hpp"
 #include "src/common/failure_ladder.hpp"
-#include "src/linalg/simd_caps.hpp"
 
 namespace moheco::circuits {
 namespace {
@@ -71,23 +70,6 @@ class BlobReader {
 };
 
 }  // namespace
-
-std::string EvalConfig::validate_batch(long long batch,
-                                       std::string_view flag) {
-  if (batch == kBatchAuto || (batch >= 1 && batch <= kBatchMax)) return {};
-  return std::string(flag) + " must be a batch width between 1 and " +
-         std::to_string(kBatchMax) + ", or 0 to autoselect";
-}
-
-int EvalConfig::resolve_batch(int batch) {
-  if (batch != kBatchAuto) return batch;
-  // K=8 keeps every kernel width fed -- it saturates the 8-wide AVX-512
-  // lanes outright and still amortizes the symbolic traversal 8-fold
-  // through the 4- and 2-wide kernels (the bench's K=8 rows beat K=2/4 at
-  // every dispatch width) -- so autoselect only widens past it if the
-  // runtime dispatcher ever reports wider lanes.
-  return std::max(8, linalg::simd_caps().max_lane_width);
-}
 
 AmplifierEvaluator::AmplifierEvaluator(std::shared_ptr<const Topology> topology,
                                        EvalOptions options)
@@ -264,340 +246,6 @@ Performance AmplifierEvaluator::Session::evaluate(std::span<const double> xi) {
   if (xi.empty()) return nominal_perf_;
   apply_process(xi);
   return measure(/*is_nominal=*/false);
-}
-
-void AmplifierEvaluator::Session::evaluate_batch(std::span<const double> xis,
-                                                 std::size_t lanes,
-                                                 std::span<Performance> out) {
-  require(lanes > 0 && out.size() >= lanes,
-          "Session::evaluate_batch: need one output slot per lane");
-  const std::size_t dim = xis.size() / lanes;
-  require(dim * lanes == xis.size(),
-          "Session::evaluate_batch: samples not a whole number of lanes");
-  auto lane_xi = [&](std::size_t l) { return xis.subspan(l * dim, dim); };
-
-  // Scalar loop when batching cannot engage: single lane, or a
-  // warm-blob-revived session whose solvers have not yet analyzed their
-  // patterns (the first scalar sample does that; later batches engage).
-  if (lanes == 1 || dim == 0 || !have_nominal_solution_ ||
-      !dc_->batch_ready() || !ac_->batch_ready()) {
-    for (std::size_t l = 0; l < lanes; ++l) out[l] = evaluate(lane_xi(l));
-    return;
-  }
-
-  // Per-lane model cards, derived once up front; `activate` installs lane
-  // l's cards on both netlists (the step twin shares the canonical
-  // transistor order, as in apply_process).
-  const std::size_t num_mos = base_cards_.size();
-  std::vector<spice::MosModel> cards(lanes * num_mos);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    apply_process(lane_xi(l));
-    for (std::size_t i = 0; i < num_mos; ++i) {
-      cards[l * num_mos + i] = circuit_.netlist.mosfets()[i].model;
-    }
-  }
-  auto activate = [&](std::size_t l) {
-    for (std::size_t i = 0; i < num_mos; ++i) {
-      const spice::MosModel& card = cards[l * num_mos + i];
-      circuit_.netlist.mosfet(static_cast<int>(i)).model = card;
-      if (step_circuit_) {
-        step_circuit_->netlist.mosfet(static_cast<int>(i)).model = card;
-      }
-    }
-  };
-
-  // --- Phase 1: lockstep batched DC.  Any lane off the warm Newton path
-  // demotes the whole batch to the scalar loop, which reproduces the
-  // scalar evaluation-order semantics exactly.
-  spice::DcOptions dc_options;
-  std::vector<spice::OperatingPoint> ops;
-  if (!dc_->solve_batch(dc_options, lanes, activate, nominal_solution_,
-                        &ops)) {
-    fail::ladder_count(fail::Ladder::kLaneDemotion);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      activate(l);
-      out[l] = measure(/*is_nominal=*/false);
-    }
-    return;
-  }
-
-  // --- Phase 2: per-lane DC-derived metrics (same math as the scalar
-  // path in measure_small_signal).
-  for (std::size_t l = 0; l < lanes; ++l) {
-    Performance perf;
-    perf.area = circuit_.gate_area;
-    const spice::OperatingPoint& op = ops[l];
-    perf.power =
-        circuit_.vdd * std::fabs(op.vsource_current[circuit_.vdd_source]);
-    perf.offset = std::fabs(op.node_voltage[circuit_.outp] -
-                            op.node_voltage[circuit_.outn]);
-    double sat_margin = 1e9;
-    for (const auto& mos : op.mosfets) {
-      sat_margin = std::min(sat_margin, mos.sat_margin);
-    }
-    perf.sat_margin = sat_margin;
-    double top = 0.0, bottom = 0.0;
-    for (int i : circuit_.swing_top) top += op.mosfets[i].eval.vdsat;
-    for (int i : circuit_.swing_bottom) bottom += op.mosfets[i].eval.vdsat;
-    perf.swing = 2.0 * (circuit_.vdd - top - bottom);
-    out[l] = perf;
-  }
-
-  // --- Phase 3: lockstep batched AC gain-bandwidth search.  Every lane
-  // walks the exact scalar probe sequence of measure_ac as a per-lane
-  // state machine; each round restamps the still-searching lanes at their
-  // next probe frequency and refactors all lanes at once.  Finished lanes
-  // freeze (their last system stays in the batch and keeps refactoring
-  // deterministically).  A refactorization breakdown kills the batch and
-  // the AC leg is redone through scalar measure_ac in lane order --
-  // bit-identical to a scalar run, since batched rounds never mutate the
-  // scalar solver's state.
-  enum class AcState : unsigned char {
-    kH0, kSeed, kExpand, kShrink, kBisect, kPm, kDone
-  };
-  struct LaneSearch {
-    AcState state = AcState::kH0;
-    double freq = 0.0;  ///< pending probe frequency
-    std::complex<double> h0;
-    double fa = 0.0, fb = 0.0, fcur = 0.0, fm = 0.0;
-    int iter = 0;
-  };
-  std::vector<LaneSearch> search(lanes);
-  ac_->begin_batch(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    ac_->prepare_lane(l, ops[l]);
-    search[l].freq = kAcFrequencyLow;
-  }
-
-  auto next_bisect_or_finish = [&](std::size_t l) {
-    LaneSearch& s = search[l];
-    if (s.iter < 48 && s.fb / s.fa > 1.002) {
-      s.fm = std::sqrt(s.fa * s.fb);
-      s.freq = s.fm;
-      s.state = AcState::kBisect;
-    } else {
-      out[l].gbw = std::sqrt(s.fa * s.fb);
-      s.freq = out[l].gbw;
-      s.state = AcState::kPm;
-    }
-  };
-  auto advance = [&](std::size_t l, std::complex<double> h) {
-    LaneSearch& s = search[l];
-    Performance& perf = out[l];
-    switch (s.state) {
-      case AcState::kH0: {
-        s.h0 = h;
-        const double mag0 = std::abs(h);
-        if (!(mag0 > 0.0) || !std::isfinite(mag0)) {
-          s.state = AcState::kDone;
-          return;
-        }
-        perf.a0_db = 20.0 * std::log10(mag0);
-        if (mag0 <= 1.0) {
-          perf.gbw = 0.0;
-          perf.pm_deg = -180.0;
-          perf.valid = true;
-          s.state = AcState::kDone;
-          return;
-        }
-        s.fa = kAcFrequencyLow;
-        s.freq = last_crossing_ > 0.0 ? last_crossing_ : 1e6;
-        s.state = AcState::kSeed;
-        return;
-      }
-      case AcState::kSeed: {
-        const double seed = s.freq;
-        if (std::abs(h) > 1.0) {
-          s.fa = seed;
-          s.fb = seed * 4.0;
-          if (s.fb > kMaxFrequency) {
-            perf.gbw = kMaxFrequency;
-            perf.pm_deg = 0.0;
-            perf.valid = true;
-            s.state = AcState::kDone;
-            return;
-          }
-          s.freq = s.fb;
-          s.state = AcState::kExpand;
-        } else {
-          s.fb = seed;
-          s.fcur = seed;
-          if (s.fcur > 4.0 * kAcFrequencyLow) {
-            s.fcur *= 0.25;
-            s.freq = s.fcur;
-            s.state = AcState::kShrink;
-          } else {
-            next_bisect_or_finish(l);
-          }
-        }
-        return;
-      }
-      case AcState::kExpand: {
-        if (std::abs(h) <= 1.0) {
-          next_bisect_or_finish(l);
-          return;
-        }
-        s.fa = s.fb;
-        s.fb *= 4.0;
-        if (s.fb > kMaxFrequency) {
-          perf.gbw = kMaxFrequency;
-          perf.pm_deg = 0.0;
-          perf.valid = true;
-          s.state = AcState::kDone;
-          return;
-        }
-        s.freq = s.fb;
-        return;
-      }
-      case AcState::kShrink: {
-        if (std::abs(h) > 1.0) {
-          s.fa = s.fcur;
-          next_bisect_or_finish(l);
-          return;
-        }
-        s.fb = s.fcur;
-        if (s.fcur > 4.0 * kAcFrequencyLow) {
-          s.fcur *= 0.25;
-          s.freq = s.fcur;
-        } else {
-          next_bisect_or_finish(l);
-        }
-        return;
-      }
-      case AcState::kBisect: {
-        (std::abs(h) > 1.0 ? s.fa : s.fb) = s.fm;
-        ++s.iter;
-        next_bisect_or_finish(l);
-        return;
-      }
-      case AcState::kPm: {
-        const double phase_rel = std::arg(h / s.h0);
-        perf.pm_deg = 180.0 + phase_rel * 180.0 / M_PI;
-        perf.valid = true;
-        s.state = AcState::kDone;
-        return;
-      }
-      case AcState::kDone:
-        return;
-    }
-  };
-
-  std::vector<double> freqs(lanes, kAcFrequencyLow);
-  std::vector<char> active(lanes, 1);
-  bool batch_ok = true;
-  while (true) {
-    std::size_t pending = 0;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const bool searching = search[l].state != AcState::kDone;
-      active[l] = searching ? 1 : 0;
-      if (searching) {
-        freqs[l] = search[l].freq;
-        ++pending;
-      }
-    }
-    if (pending == 0) break;
-    if (!ac_->solve_batch(freqs, active)) {
-      batch_ok = false;
-      break;
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      if (active[l] != 0) {
-        advance(l, ac_->differential(l, circuit_.outp, circuit_.outn));
-      }
-    }
-  }
-  ac_->end_batch();
-  if (!batch_ok) {
-    fail::ladder_count(fail::Ladder::kLaneDemotion);
-    const Performance defaults;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      out[l].a0_db = defaults.a0_db;
-      out[l].gbw = defaults.gbw;
-      out[l].pm_deg = defaults.pm_deg;
-      out[l].valid = defaults.valid;
-      measure_ac(/*is_nominal=*/false, ops[l], &out[l]);
-    }
-  }
-
-  // --- Phase 4: lockstep batched transients (scalar path: the transient
-  // only runs on samples whose small-signal leg converged).
-  if (tran_) measure_transient_batch(lanes, activate, out);
-}
-
-void AmplifierEvaluator::Session::measure_transient_batch(
-    std::size_t lanes, const std::function<void(std::size_t)>& activate,
-    std::span<Performance> out) {
-  // The transient leg runs on the subset of lanes whose small-signal leg
-  // converged; the batch is compacted to that subset (`idx[k]` maps batch
-  // lane k back to the evaluation lane).
-  std::vector<std::size_t> idx;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    if (out[l].valid) idx.push_back(l);
-  }
-  if (idx.empty()) return;
-  auto scalar_replay = [&]() {
-    for (std::size_t l : idx) {
-      activate(l);
-      measure_transient(/*is_nominal=*/false, &out[l]);
-    }
-  };
-  if (idx.size() == 1) {
-    scalar_replay();
-    return;
-  }
-  auto activate_sub = [&](std::size_t k) { activate(idx[k]); };
-
-  // Lockstep batched step-DC of the buffer, every lane warm-started from
-  // the shared nominal buffer solution exactly like scalar
-  // measure_transient (no nominal recorded yet == a flat zero start).
-  spice::DcOptions dc_options = parent_->options_.tran.dc;
-  const std::vector<double> warm =
-      have_step_nominal_
-          ? step_nominal_solution_
-          : std::vector<double>(step_dc_->layout().size(), 0.0);
-  std::vector<spice::OperatingPoint> ops;
-  if (!step_dc_->solve_batch(dc_options, idx.size(), activate_sub, warm,
-                             &ops)) {
-    fail::ladder_count(fail::Ladder::kLaneDemotion);
-    scalar_replay();  // includes any lane whose buffer DC fails scalar too
-    return;
-  }
-
-  spice::TranOptions tran_options = parent_->options_.tran;
-  tran_options.t_stop = step_circuit_->step.t_stop;
-  std::vector<std::vector<double>> initial_ops(idx.size());
-  for (std::size_t k = 0; k < idx.size(); ++k) {
-    initial_ops[k] = ops[k].solution;
-  }
-  std::vector<spice::TranLaneResult> results;
-  if (!tran_->run_batch(tran_options, idx.size(), activate_sub, initial_ops,
-                        &results)) {
-    fail::ladder_count(fail::Ladder::kLaneDemotion);
-    scalar_replay();
-    return;
-  }
-
-  // Per-lane waveform extraction + step metrics, identical arithmetic to
-  // scalar measure_transient over bit-identical waveforms.
-  const BuiltCircuit& bc = *step_circuit_;
-  const std::size_t stride = tran_->layout().num_nodes() + 1;
-  for (std::size_t k = 0; k < idx.size(); ++k) {
-    const spice::TranLaneResult& res = results[k];
-    if (res.status != spice::SolveStatus::kOk) continue;  // keep defaults
-    const std::size_t points = res.time.size();
-    std::vector<double> vout(points);
-    for (std::size_t p = 0; p < points; ++p) {
-      vout[p] = res.node_v[p * stride + static_cast<std::size_t>(bc.outp)] -
-                res.node_v[p * stride + static_cast<std::size_t>(bc.outn)];
-    }
-    const StepMetrics metrics = measure_step_response(
-        res.time, vout, bc.step.t_delay, bc.step.settle_frac);
-    Performance& perf = out[idx[k]];
-    perf.slew_rate = metrics.slew_rate;
-    if (metrics.valid || metrics.settling_time > 0.0) {
-      perf.settling_time = metrics.settling_time;
-    }
-  }
 }
 
 Performance AmplifierEvaluator::Session::measure(bool is_nominal) {

@@ -23,11 +23,8 @@
 // one.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/circuits/performance.hpp"
@@ -39,47 +36,15 @@
 
 namespace moheco::circuits {
 
-/// Core evaluation configuration: the one knob set shared by the CLI, the
-/// daemon, the benches and the problem layers.  Entry points build a single
-/// EvalConfig from their flags and thread it unchanged through
-/// EvalOptions / MohecoOptions to every evaluation site.
-struct EvalConfig {
+/// Evaluation controls shared by every Session of one evaluator.  Entry
+/// points (the CLI, the daemon, the benches) build one from their flags and
+/// thread it unchanged through the problem layers to every evaluation site.
+struct EvalOptions {
   /// Also build the step-buffer testbench and run a transient per
   /// evaluation, filling Performance::slew_rate / settling_time.  Off by
   /// default: a transient costs ~100x a DC+AC evaluation, so yield flows
   /// opt in explicitly.
   bool transient = false;
-  /// Monte-Carlo batch width K: the scheduler hands each worker K-sample
-  /// blocks of one candidate and Sessions evaluate them through the SoA
-  /// batched solvers (Session::evaluate_batch).  1 (the default) keeps the
-  /// scalar per-sample path; any width produces bit-identical per-sample
-  /// results, so tallies are independent of K.  kBatchAuto (0)
-  /// autoselects; consumers resolve it through resolve_batch().
-  int batch = 1;
-
-  /// `batch` sentinel meaning "autoselect the width for this host".
-  static constexpr int kBatchAuto = 0;
-  /// Widest width a flag may request: SoA lane storage grows linearly with
-  /// K while the kernels stop gaining well before this.
-  static constexpr int kBatchMax = 64;
-
-  /// The one batch-width range check every entry point routes through
-  /// (`moheco_cli --batch=`, `moheco_d --batch=`, daemon request
-  /// `options.batch`, bench `MOHECO_BATCH`/`--batch=`).  Returns an error
-  /// message naming `flag`, or an empty string when `batch` is valid
-  /// (kBatchAuto or 1..kBatchMax).
-  static std::string validate_batch(long long batch, std::string_view flag);
-
-  /// Maps kBatchAuto to the host's preferred width (>= 8, widened on hosts
-  /// whose runtime dispatch reports lanes wider than 8); explicit widths
-  /// pass through.  The session layer resolves at construction so the
-  /// sentinel can travel through configs, logs and cached specs unchanged.
-  static int resolve_batch(int batch);
-};
-
-/// Evaluation controls shared by every Session of one evaluator: the common
-/// EvalConfig plus the solver sub-options only the evaluator consumes.
-struct EvalOptions : EvalConfig {
   /// Transient solver controls; t_stop is overridden per topology by its
   /// StepStimulus horizon.
   spice::TranOptions tran;
@@ -108,23 +73,6 @@ class AmplifierEvaluator {
     /// point.  `xi` must otherwise have process().dim() entries.
     Performance evaluate(std::span<const double> xi);
 
-    /// Evaluates `lanes` process samples at once.  `xis` holds the samples
-    /// contiguously lane-major (sample l occupies
-    /// [l * process().dim(), (l + 1) * process().dim())) and `out` receives
-    /// one Performance per lane.
-    ///
-    /// With the nominal state in place the lanes run through the batched
-    /// SoA solvers: one lockstep Newton DC solve, then a lockstep AC
-    /// gain-bandwidth search where finished lanes freeze while the rest
-    /// keep probing, then the per-lane transients.  Results are
-    /// bit-identical to calling evaluate() on each lane in order -- any
-    /// lane that leaves the shared warm path (pivot breakdown,
-    /// non-convergence) demotes the whole batch to exactly that scalar
-    /// loop.  Warm-blob-revived sessions whose solvers have not yet
-    /// captured a pattern use the scalar loop directly.
-    void evaluate_batch(std::span<const double> xis, std::size_t lanes,
-                        std::span<Performance> out);
-
     /// The nominal-point performance (computed on construction).
     const Performance& nominal() const { return nominal_perf_; }
 
@@ -140,19 +88,10 @@ class AmplifierEvaluator {
     Performance measure(bool is_nominal);
     Performance measure_small_signal(bool is_nominal);
     /// The AC leg of measure_small_signal: A0 / GBW / phase margin at
-    /// operating point `op` (shared by the scalar path and the batched
-    /// path's scalar fallback).
+    /// operating point `op`.
     void measure_ac(bool is_nominal, const spice::OperatingPoint& op,
                     Performance* perf);
     void measure_transient(bool is_nominal, Performance* perf);
-    /// Batched phase-4 leg of evaluate_batch: lockstep step-DC + lockstep
-    /// batched transient over the lanes whose small-signal leg converged
-    /// (out[l].valid).  Falls back to per-lane measure_transient -- the
-    /// exact scalar semantics -- whenever the batch cannot engage or any
-    /// lane demotes it.
-    void measure_transient_batch(
-        std::size_t lanes, const std::function<void(std::size_t)>& activate,
-        std::span<Performance> out);
     void apply_process(std::span<const double> xi);
 
     const AmplifierEvaluator* parent_;

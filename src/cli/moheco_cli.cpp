@@ -96,9 +96,6 @@ void print_usage() {
                "evaluation:\n"
                "  --transient           step-bench transient per sample (deck needs\n"
                "                        a .probe step card)\n"
-               "  --batch=K             evaluate K MC samples per solver batch\n"
-               "                        (SoA kernels; tallies identical at any\n"
-               "                        K; 0 autoselects the host width)\n"
                "\n"
                "outputs:\n"
                "  --json=PATH           machine-readable results\n"
@@ -112,7 +109,7 @@ void print_usage() {
                "                        checkpoints (local optimize runs)\n"
                "  --resume              resume from --checkpoint=DIR's state;\n"
                "                        bit-identical to the uninterrupted run\n"
-               "                        at any --threads (--batch=1, no faults)\n"
+               "                        at any --threads (no faults armed)\n"
                "  --faults=SPEC         arm deterministic fail points, e.g.\n"
                "                        seed=7,sparse_factor=prob:0.05 (also read\n"
                "                        from MOHECO_FAULTS when the flag is absent)\n"
@@ -142,8 +139,8 @@ void print_usage() {
                "                        (counters/gauges/histograms) to FILE at exit\n"
                "  --log-level=LEVEL     debug|info|warn|error|off (default warn;\n"
                "                        MOHECO_LOG also works)\n"
-               "  --version             print build identity (version, compiler,\n"
-               "                        SIMD capabilities) and exit\n");
+               "  --version             print build identity (version, compiler)\n"
+               "                        and exit\n");
 }
 
 bool parse_long(const std::string& text, long long* out) {
@@ -242,13 +239,6 @@ CliOptions parse_cli(int argc, char** argv) {
       }
     } else if (arg == "--transient") {
       cli.eval.transient = true;
-    } else if (key == "--batch") {
-      cli.eval.batch = need_int32(arg, value);
-      const std::string err =
-          circuits::EvalConfig::validate_batch(cli.eval.batch, "--batch");
-      if (!err.empty()) {
-        throw InvalidArgument("moheco_cli: " + err);
-      }
     } else if (key == "--json") {
       cli.json_path = value;
     } else if (key == "--deck-out") {

@@ -30,7 +30,6 @@ namespace moheco::fail {
 enum class Site : int {
   kSparseFactor = 0,  // sparse LU pivot breakdown
   kDenseFactor,       // dense LU pivot breakdown
-  kBatchRefactor,     // batched-lane refactorization breakdown
   kNewton,            // Newton non-convergence
   kTranStall,         // transient LTE stall (step-count exhaustion)
   kWarmBlob,          // warm-start blob corruption

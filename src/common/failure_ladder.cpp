@@ -10,7 +10,6 @@ namespace {
 
 constexpr const char* kStageNames[kNumLadderStages] = {
     "sparse_to_dense",
-    "lane_demotion",
     "sample_infeasible",
     "warm_blob_rejected",
 };

@@ -14,7 +14,7 @@
 // with the optimizer RNG state and the normalized scheduler blob store
 // (EvalScheduler::checkpoint_blobs), resuming from generation g replays the
 // remaining generations bit-identically to the uninterrupted run, at any
-// worker count (batch width 1, fail points disarmed).  The saved counters
+// worker count (fail points disarmed).  The saved counters
 // are the run's outcome only -- simulations per phase and quarantines per
 // reason; scheduler events are process telemetry and are not saved.
 //

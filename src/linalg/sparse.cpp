@@ -2,12 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-
-#include "src/linalg/simd_caps.hpp"
-#include "src/linalg/sparse_kernels.hpp"
-#include "src/linalg/sparse_wide.hpp"
-#include "src/obs/metrics.hpp"
 
 namespace moheco::linalg {
 namespace {
@@ -30,12 +24,6 @@ constexpr double kRefactorPivotTol = 1e-4;
 /// edges the remaining (nearly dense) nodes are appended in degree order,
 /// bounding analysis cost on pathological patterns.
 constexpr std::size_t kOrderingEdgeCap = 8u << 20;
-
-// The batched (SoA) lane primitives and kernel bodies live in
-// sparse_kernels.hpp, shared with the ISA-specific wide translation units
-// (sparse_lanes_avx2.cpp / sparse_lanes_avx512.cpp).  This TU instantiates
-// the portable variants: scalar, any-width, and the two-wide baseline every
-// x86-64 target executes.
 
 }  // namespace
 
@@ -386,207 +374,5 @@ void SparseLuSolver<Scalar>::solve(std::vector<Scalar>& b) const {
 
 template class SparseLuSolver<double>;
 template class SparseLuSolver<std::complex<double>>;
-
-namespace {
-
-/// Grows `buf` to hold `count` Scalars at a 64-byte-aligned base and
-/// returns that base.  At K=8 doubles a lane row slice is exactly one
-/// cache line, so aligning the SoA workspaces keeps every indexed row
-/// access (the refactor's x scatters, the substitutions' work/y scatters,
-/// the streamed lval/uval slices) on a single line instead of straddling
-/// two.  Re-invoking on an already-big-enough buffer returns the same
-/// base, so refactor() and solve() agree on the layout.
-template <typename Scalar>
-Scalar* aligned_workspace(std::vector<Scalar>& buf, std::size_t count) {
-  constexpr std::size_t kPad = (64 + sizeof(Scalar) - 1) / sizeof(Scalar);
-  if (buf.size() < count + kPad) buf.resize(count + kPad);
-  void* p = buf.data();
-  std::size_t space = buf.size() * sizeof(Scalar);
-  return static_cast<Scalar*>(std::align(64, count * sizeof(Scalar), p, space));
-}
-
-}  // namespace
-
-template <typename Scalar>
-bool SparseLuBatch<Scalar>::refactor(const SparseLuSolver<Scalar>& host,
-                                     const SparseMatrix<Scalar>& a,
-                                     const std::vector<Scalar>& soa_values,
-                                     std::size_t lanes) {
-  require(soa_values.size() == a.nnz() * lanes,
-          "SparseLuBatch::refactor: SoA value count mismatch");
-  return refactor_impl(host, a, soa_values.data(), lanes, 1, lanes);
-}
-
-template <typename Scalar>
-bool SparseLuBatch<Scalar>::refactor_lane_major(
-    const SparseLuSolver<Scalar>& host, const SparseMatrix<Scalar>& a,
-    const Scalar* values, std::size_t lane_stride, std::size_t lanes) {
-  require(lane_stride >= a.nnz(),
-          "SparseLuBatch::refactor_lane_major: lane stride below nnz");
-  return refactor_impl(host, a, values, 1, lane_stride, lanes);
-}
-
-template <typename Scalar>
-bool SparseLuBatch<Scalar>::refactor_impl(const SparseLuSolver<Scalar>& host,
-                                          const SparseMatrix<Scalar>& a,
-                                          const Scalar* values,
-                                          std::size_t slot_stride,
-                                          std::size_t lane_stride,
-                                          std::size_t lanes) {
-  static obs::Counter& refactors =
-      obs::registry().counter("linalg.batch_refactors");
-  static obs::Histogram& refactor_us =
-      obs::registry().histogram("linalg.batch_refactor_us");
-  refactors.add(1);
-  obs::ScopedTimer timer(refactor_us);
-  lanes_ = 0;
-  if (!host.analyzed_ || lanes == 0) return false;
-  require(a.size() == host.n_, "SparseLuBatch::refactor: size mismatch");
-  host_ = &host;
-
-  const std::size_t n = host.n_;
-  lbase_ = aligned_workspace(lval_, host.lval_.size() * lanes);
-  ubase_ = aligned_workspace(uval_, host.uval_.size() * lanes);
-  dbase_ = aligned_workspace(udiag_, n * lanes);
-  // The kernels restore x to all-zero as they retire each column, so a
-  // successful refactor leaves the workspace clean for the next one; only a
-  // grow or a breakdown abort (which bails mid-column) forces a re-zero
-  // (the whole buffer, so narrower batches after an aborted wide one stay
-  // covered).
-  constexpr std::size_t kXPad = (64 + sizeof(Scalar) - 1) / sizeof(Scalar);
-  if (x_.size() < n * lanes + kXPad) {
-    x_.assign(n * lanes + kXPad, Scalar{});
-  } else if (x_dirty_) {
-    std::fill(x_.begin(), x_.end(), Scalar{});
-  }
-  colmax_.resize(lanes);
-
-  detail::BatchIo<Scalar> io;
-  io.n = n;
-  io.q = host.q_.data();
-  io.prow = host.prow_.data();
-  io.lptr = host.lptr_.data();
-  io.lrow = host.lrow_.data();
-  io.uptr = host.uptr_.data();
-  io.uidx = host.uidx_.data();
-  io.col_ptr = a.col_ptr().data();
-  io.row_idx = a.row_idx().data();
-  io.soa_values = values;
-  io.soa_slot_stride = slot_stride;
-  io.soa_lane_stride = lane_stride;
-  io.lval = lbase_;
-  io.uval = ubase_;
-  io.udiag = dbase_;
-  io.x = aligned_workspace(x_, n * lanes);
-  io.colmax = colmax_.data();
-
-  // Runtime kernel dispatch: lane counts 4/8 route to the wide TUs when the
-  // host executes their ISA (simd_caps()); everything else takes the
-  // portable compile-time-KC kernels below.  Every choice is bit-identical
-  // per lane -- only throughput differs.
-  kernel_width_ = simd_dispatch_width(lanes);
-  bool ok = false;
-  switch (lanes) {
-    case 1:
-      ok = detail::batch_refactor_kernel<1, 1>(io, lanes);
-      break;
-    case 2:
-      ok = detail::batch_refactor_kernel<2, 2>(io, lanes);
-      break;
-    case 4:
-#ifdef MOHECO_WIDE_LANES
-      if (kernel_width_ >= 4) {
-        ok = wide::refactor_k4_avx2(io);
-        break;
-      }
-#endif
-      ok = detail::batch_refactor_kernel<4, 2>(io, lanes);
-      break;
-    case 8:
-#ifdef MOHECO_WIDE_LANES
-      if (kernel_width_ >= 8) {
-        ok = wide::refactor_k8_avx512(io);
-        break;
-      }
-      if (kernel_width_ >= 4) {
-        ok = wide::refactor_k8_avx2(io);
-        break;
-      }
-#endif
-      ok = detail::batch_refactor_kernel<8, 2>(io, lanes);
-      break;
-    default:
-      ok = detail::batch_refactor_kernel<0, 1>(io, lanes);
-      break;
-  }
-  x_dirty_ = !ok;
-  if (ok) lanes_ = lanes;
-  return ok;
-}
-
-template <typename Scalar>
-void SparseLuBatch<Scalar>::solve(std::vector<Scalar>& b) const {
-  require(lanes_ > 0, "SparseLuBatch::solve: no valid factorization");
-  require(b.size() == host_->n_ * lanes_,
-          "SparseLuBatch::solve: dimension mismatch");
-  const SparseLuSolver<Scalar>& host = *host_;
-
-  detail::SolveIo<Scalar> io;
-  io.n = host.n_;
-  io.q = host.q_.data();
-  io.prow = host.prow_.data();
-  io.lptr = host.lptr_.data();
-  io.lrow = host.lrow_.data();
-  io.uptr = host.uptr_.data();
-  io.uidx = host.uidx_.data();
-  io.lval = lbase_;
-  io.uval = ubase_;
-  io.udiag = dbase_;
-  // The forward pass consumes b in place as its permuted workspace: the
-  // final scatter rewrites every entry of b from y_ only after the forward
-  // pass has fully drained work, so aliasing saves the n*K scratch copy.
-  io.work = b.data();
-  io.y = aligned_workspace(y_, host.n_ * lanes_);
-  io.b = b.data();
-
-  // Substitutions reuse the width the refactor dispatched so the factors
-  // and the solves stream the same lane layout through the same units.
-  switch (lanes_) {
-    case 1:
-      detail::batch_solve_kernel<1, 1>(io, lanes_);
-      return;
-    case 2:
-      detail::batch_solve_kernel<2, 2>(io, lanes_);
-      return;
-    case 4:
-#ifdef MOHECO_WIDE_LANES
-      if (kernel_width_ >= 4) {
-        wide::solve_k4_avx2(io);
-        return;
-      }
-#endif
-      detail::batch_solve_kernel<4, 2>(io, lanes_);
-      return;
-    case 8:
-#ifdef MOHECO_WIDE_LANES
-      if (kernel_width_ >= 8) {
-        wide::solve_k8_avx512(io);
-        return;
-      }
-      if (kernel_width_ >= 4) {
-        wide::solve_k8_avx2(io);
-        return;
-      }
-#endif
-      detail::batch_solve_kernel<8, 2>(io, lanes_);
-      return;
-    default:
-      detail::batch_solve_kernel<0, 1>(io, lanes_);
-      return;
-  }
-}
-
-template class SparseLuBatch<double>;
-template class SparseLuBatch<std::complex<double>>;
 
 }  // namespace moheco::linalg

@@ -394,27 +394,9 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
         return;
       }
       const std::size_t dim = job.tally->problem().noise_dim();
-      // Hand the session K-lane blocks of this candidate's samples (rows are
-      // contiguous in the row-major sample matrix).  Batched results are
-      // lane-identical to scalar ones, so the tally is independent of the
-      // session's batch width -- mixed widths across workers are fine.
-      const std::size_t width =
-          std::max<std::size_t>(1, session->preferred_batch());
       long long passes = 0;
-      std::vector<SampleResult> results;
-      for (std::size_t i = task.begin; i < task.end;) {
-        const std::size_t lanes = std::min(width, task.end - i);
-        if (lanes == 1) {
-          if (session->evaluate({job.samples.row(i), dim}).pass) ++passes;
-        } else {
-          results.resize(lanes);
-          session->evaluate_batch({job.samples.row(i), lanes * dim}, lanes,
-                                  results);
-          for (const SampleResult& r : results) {
-            if (r.pass) ++passes;
-          }
-        }
-        i += lanes;
+      for (std::size_t i = task.begin; i < task.end; ++i) {
+        if (session->evaluate({job.samples.row(i), dim}).pass) ++passes;
       }
       task_passes[t] = passes;
     } catch (...) {

@@ -33,15 +33,13 @@
 //
 // Determinism: enqueue() consumes the candidate's sample stream immediately
 // (batch index and size are fixed at enqueue time), every sample of a batch
-// is evaluated exactly once, and pass counts are integers summed in job
-// order -- so yield tallies are bit-identical across worker counts, chunk
-// sizes, cache capacities, affinity on/off, warm starts on/off, and any mix
-// of session batch widths (workers hand sessions preferred_batch()-lane
-// sample blocks; the contract makes batched lanes identical to scalar
-// evaluations), and identical to the per-candidate refine() path for the
+// is evaluated exactly once through Session::evaluate(), and pass counts are
+// integers summed in job order -- so yield tallies are bit-identical across
+// worker counts, chunk sizes, cache capacities, affinity on/off and warm
+// starts on/off, and identical to the per-candidate refine() path for the
 // same round structure.  This relies on the YieldProblem session-cache
 // contract (see src/mc/yield_problem.hpp): sample results are pure
-// functions of (x, xi), at every batch width.
+// functions of (x, xi).
 #pragma once
 
 #include <atomic>

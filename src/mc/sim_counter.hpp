@@ -32,7 +32,7 @@ inline constexpr std::size_t kNumSimPhases = 5;
 /// these reason codes (see EvalScheduler); healthy runs record none.
 enum class FailEvent : int {
   kQuarantineOpen = 0,  ///< session open()/open_warm() threw
-  kQuarantineEval,      ///< evaluate()/evaluate_batch() threw mid-flush
+  kQuarantineEval,      ///< evaluate() threw mid-flush
   kQuarantineScreen,    ///< nominal screen evaluation threw
 };
 

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "src/common/json.hpp"
-#include "src/linalg/simd_caps.hpp"
 
 namespace moheco::obs {
 
@@ -30,20 +29,9 @@ std::string compiler() {
 }
 
 std::string build_json() {
-  const linalg::SimdCaps& caps = linalg::simd_caps();
-  JsonObject simd;
-  simd.add_bool("avx2", caps.avx2);
-  simd.add_bool("avx512f", caps.avx512f);
-  simd.add_int("max_lane_width", caps.max_lane_width);
   JsonObject build;
   build.add_string("version", version());
   build.add_string("compiler", compiler());
-#ifdef MOHECO_SIMD_BUILD
-  build.add_bool("simd_build", true);
-#else
-  build.add_bool("simd_build", false);
-#endif
-  build.add_raw("simd_caps", simd.str());
   return build.str();
 }
 

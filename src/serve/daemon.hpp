@@ -64,10 +64,6 @@ struct DaemonOptions {
   std::size_t queue_depth = 64;
   std::size_t result_cache_entries = 256;  ///< in-memory result LRU
   std::size_t warm_cache_entries = 64;     ///< in-memory warm-blob LRU
-  /// Evaluation batch width (EvalConfig::batch) applied to submitted jobs
-  /// whose request options do not set "batch" themselves; an explicit
-  /// per-job value always wins.  1 keeps the scalar per-sample path.
-  int default_batch = 1;
   /// ResultsCache backing path for cross-restart persistence of both
   /// caches; empty keeps them memory-only.
   std::string cache_path;
@@ -80,8 +76,8 @@ struct DaemonOptions {
   /// checkpoints its generation-granular state under
   /// DIR/<deck-hash>_<fingerprint-hash>/ and resumes from it if present --
   /// a daemon killed mid-job replays the interrupted run to the identical
-  /// result after restart (bit-identical at any pool width for batch width
-  /// 1 with fail points disarmed).
+  /// result after restart (bit-identical at any pool width with fail
+  /// points disarmed).
   std::string checkpoint_dir;
   /// Chrome trace-event export: when non-empty, span tracing is armed at
   /// start() and the buffered trace is written here when the daemon stops.

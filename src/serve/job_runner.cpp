@@ -36,9 +36,6 @@ std::string deck_content_hash(const std::string& deck_text) {
 }
 
 std::string warm_fingerprint(const JobSpec& spec) {
-  // The batch width is deliberately NOT part of the warm key: blobs hold a
-  // session's nominal state, which is computed on the scalar path and is
-  // identical at every batch width, so runs at different K share blobs.
   std::ostringstream oss;
   oss << "warm1 transient=" << (spec.eval.transient ? 1 : 0);
   return oss.str();
@@ -52,19 +49,20 @@ std::string result_fingerprint(const JobSpec& spec, int workers) {
   // the SAME bytes the fresh run would emit.
   oss << "res2 name=" << spec.deck_name
       << " mode=" << to_string(spec.mode) << " seed=" << m.seed
-      << " sampling=" << stats::to_string(m.estimation.mc.sampling)
-      << " workers=" << workers << ' ' << warm_fingerprint(spec)
-      << " batch=" << spec.eval.batch
+      << " sampling=" << stats::to_string(m.estimation.mc.sampling) << ' '
+      << warm_fingerprint(spec)
       << " sized=" << (spec.want_sized_deck ? 1 : 0);
-  // Fault-containment bits.  ckpt (like workers above): a healthy result at
-  // batch width 1 no longer depends on checkpointing or the pool width, but
-  // at batch > 1 the lane_demotion count in fail_breakdown has been seen to
-  // vary between runs of one seed, so checkpointed and plain runs keep
-  // separate result-cache rows.  faults: an armed run's results are an
+  // A healthy result is a function of the inputs alone: the same bytes at
+  // any pool width, checkpointed or not, so those stay out of the key and
+  // such jobs share one result-cache row.  An armed run's results are an
   // injection experiment, never interchangeable with (or reusable for) a
-  // healthy run's.
-  if (!m.checkpoint_dir.empty()) oss << " ckpt=1";
-  if (fail::armed()) oss << " faults=" << fail::spec_string();
+  // healthy run's; and its prob: decisions follow per-site hit ordinals,
+  // which interleave across workers and shift with a resume, so the pool
+  // width and the checkpoint bit join the key there.
+  if (fail::armed()) {
+    oss << " faults=" << fail::spec_string() << " workers=" << workers;
+    if (!m.checkpoint_dir.empty()) oss << " ckpt=1";
+  }
   if (spec.mode == JobMode::kEstimate) {
     oss << " samples=" << spec.estimate_samples;
   }

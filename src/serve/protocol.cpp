@@ -27,7 +27,6 @@ std::string encode_submit(const JobSpec& spec, const std::string& tag) {
   options.add_bool("overlap", m.overlap_generations);
   options.add_int("estimate_samples", spec.estimate_samples);
   options.add_bool("transient", spec.eval.transient);
-  options.add_int("batch", spec.eval.batch);
   options.add_bool("sized_deck", spec.want_sized_deck);
   // Only when set: keeps default submits byte-identical to older clients.
   if (spec.deadline_ms > 0) options.add_int("deadline_ms", spec.deadline_ms);
@@ -118,11 +117,13 @@ bool decode_submit(const JsonValue& request, JobSpec* spec, std::string* tag,
         return false;
       }
     } else if (key == "batch") {
-      spec->eval.batch = static_cast<int>(value.as_int());
-      const std::string err =
-          circuits::EvalConfig::validate_batch(value.as_int(), "options.batch");
-      if (!err.empty()) {
-        *error = err;
+      // Retired option (every sample runs the scalar path): older codecs
+      // sent it on every submit, so the old valid widths are accepted and
+      // ignored for one release.
+      const long long width = value.as_int(-1);
+      if (!value.is_number() || width < 0 || width > 64 ||
+          value.as_number() != static_cast<double>(width)) {
+        *error = "options.batch must be an integer between 0 and 64";
         return false;
       }
     } else if (key == "sized_deck") {

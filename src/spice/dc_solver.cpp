@@ -204,92 +204,6 @@ SolveStatus DcSolver::newton_loop(const DcOptions& options, double gmin,
   return SolveStatus::kNoConvergence;
 }
 
-bool DcSolver::solve_batch(const DcOptions& options, std::size_t lanes,
-                           const std::function<void(std::size_t)>& activate_lane,
-                           const std::vector<double>& warm,
-                           std::vector<OperatingPoint>* ops) {
-  const std::size_t n = layout_.size();
-  const std::size_t nodes = layout_.num_nodes();
-  if (lanes == 0 || !sys_.batch_ready() || warm.size() != n) return false;
-  last_iterations_ = 0;
-
-  // Per-lane iterates, all seeded from the shared (nominal) warm start --
-  // exactly what the scalar per-sample path does.
-  std::vector<std::vector<double>> x(lanes, warm);
-  std::vector<char> active(lanes, 1);
-  std::size_t num_active = lanes;
-  std::vector<double> x_new;
-  bool failed = false;
-
-  sys_.begin_batch(lanes);
-  for (int iteration = 0;
-       iteration < options.max_iterations && num_active > 0; ++iteration) {
-    ++last_iterations_;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      if (!active[l]) continue;  // frozen lanes keep their last assembly
-      activate_lane(l);
-      sys_.begin_lane(l);
-      Stamper<double> stamper(sys_);
-      stamp_linear(stamper, options.gmin, 1.0);
-      stamp_mosfets(stamper, x[l]);
-      sys_.end_lane();
-    }
-    if (!sys_.factor_batch()) {
-      failed = true;  // a lane's pivots broke down: scalar would re-pivot
-      break;
-    }
-    x_new = sys_.batch_rhs();
-    sys_.solve_batch(x_new);
-
-    for (std::size_t l = 0; l < lanes && !failed; ++l) {
-      if (!active[l]) continue;
-      bool converged = true;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double v = x_new[i * lanes + l];
-        if (!std::isfinite(v)) {
-          failed = true;  // scalar reports kSingular and takes the ladder
-          break;
-        }
-        double delta = v - x[l][i];
-        const bool is_node = i < nodes;
-        if (is_node) {
-          if (std::fabs(delta) > options.max_update) {
-            delta = std::copysign(options.max_update, delta);
-            converged = false;
-          }
-          if (std::fabs(delta) >
-              options.v_tol + options.rel_tol * std::fabs(x[l][i])) {
-            converged = false;
-          }
-        } else {
-          if (std::fabs(delta) >
-              options.i_tol + options.rel_tol * std::fabs(x[l][i])) {
-            converged = false;
-          }
-        }
-        x[l][i] += delta;
-      }
-      if (converged) {
-        active[l] = 0;
-        --num_active;
-      }
-    }
-    if (failed) break;
-  }
-  sys_.end_batch();
-  // Non-convergence of any lane sends the whole batch to the scalar path:
-  // that lane's continuation stages may re-pivot the shared factorization.
-  if (failed || num_active > 0) return false;
-
-  ops->resize(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    activate_lane(l);
-    extract_op(x[l]);
-    (*ops)[l] = op_;
-  }
-  return true;
-}
-
 SolveStatus DcSolver::solve(const DcOptions& options,
                             std::vector<double>* warm_start) {
   last_iterations_ = 0;

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/linalg/lu.hpp"
@@ -53,19 +52,6 @@ struct TranStats {
   long long newton_iterations = 0;  ///< total Newton iterations
 };
 
-/// One lane's outcome from TranSolver::run_batch: exactly what a scalar
-/// run() of that lane would have produced (same status, same stats, same
-/// accepted time points, bit-identical node voltages).
-struct TranLaneResult {
-  SolveStatus status = SolveStatus::kNoConvergence;
-  TranStats stats;
-  /// Accepted time points (time[0] == 0 when the run recorded anything).
-  std::vector<double> time;
-  /// Node voltages per accepted point, flat with stride num_nodes + 1
-  /// (entry 0 of each record is ground), matching TranSolver::voltage().
-  std::vector<double> node_v;
-};
-
 /// Transient solver bound to one netlist.  Reusable: run() may be called
 /// repeatedly (e.g. once per Monte-Carlo sample after in-place model-card
 /// perturbation); workspace and layout are allocated once.
@@ -81,31 +67,6 @@ class TranSolver {
   /// same model cards); otherwise an internal DC solve provides it.
   SolveStatus run(const TranOptions& options,
                   const std::vector<double>* initial_op = nullptr);
-
-  /// Lockstep batched transient: integrates `lanes` process samples of this
-  /// netlist at once on the sparse batch path.  Each lane keeps its own
-  /// adaptive-step controller, companion state and recorded waveform; what
-  /// is shared is the linear algebra -- every round, all lanes still
-  /// iterating stamp their Newton systems into one SoA batch and factor and
-  /// solve together (lanes that converged early are frozen and keep their
-  /// last factorable assembly).  Per lane, the accept/reject sequence and
-  /// every recorded value are bit-identical to a scalar run() of that lane.
-  ///
-  /// `activate_lane(l)` must install lane l's model cards (it is called
-  /// before any stamping or capacitance refresh for that lane);
-  /// `initial_ops[l]` must be lane l's converged DC solution, sized
-  /// layout().size().  Returns false -- leaving `results` untouched and all
-  /// scalar-path state (time()/stats()/...) unchanged -- when batching is
-  /// unavailable (no analyzable pattern) or when any lane's
-  /// replayed pivots break down mid-run; the caller must then replay every
-  /// lane through scalar run() in lane order, which reproduces the exact
-  /// scalar semantics including re-pivoting.  On true, `results` holds each
-  /// lane's outcome; per-lane statuses other than kOk (a lane that went
-  /// singular or stopped converging) match what scalar run() would return.
-  bool run_batch(const TranOptions& options, std::size_t lanes,
-                 const std::function<void(std::size_t)>& activate_lane,
-                 const std::vector<std::vector<double>>& initial_ops,
-                 std::vector<TranLaneResult>* results);
 
   const MnaLayout& layout() const { return layout_; }
   const TranStats& stats() const { return stats_; }
@@ -133,26 +94,13 @@ class TranSolver {
     int terminal_pair = 0;  ///< 0..4: gs, gd, gb, db, sb
   };
 
-  // The integration-state helpers are parameterized over whose state they
-  // touch: scalar run() passes the members below, run_batch() passes each
-  // lane's private copies (so batching never perturbs scalar-path state).
-  void build_cap_states(const std::vector<double>& x,
-                        std::vector<CapState>* caps) const;
-  void refresh_mosfet_caps(const std::vector<double>& x,
-                           std::vector<CapState>* caps) const;
-  void stamp_companions(Stamper<double>& stamper, double h, bool trapezoidal,
-                        const std::vector<CapState>& caps,
-                        const std::vector<double>& ind_v_prev,
-                        const std::vector<double>& ind_i_prev) const;
-  void accept_step(double h, bool trapezoidal, const std::vector<double>& x,
-                   std::vector<CapState>* caps,
-                   std::vector<double>* ind_v_prev,
-                   std::vector<double>* ind_i_prev) const;
-  void append_record(double t, const std::vector<double>& x,
-                     std::vector<double>* time,
-                     std::vector<double>* node_v) const;
-  /// Shared breakpoint schedule: source corners + the horizon (sources are
-  /// not process-perturbed, so every lane sees the same schedule).
+  void build_cap_states(const std::vector<double>& x);
+  void refresh_mosfet_caps(const std::vector<double>& x);
+  void stamp_companions(Stamper<double>& stamper, double h,
+                        bool trapezoidal) const;
+  void accept_step(double h, bool trapezoidal, const std::vector<double>& x);
+  void append_record(double t, const std::vector<double>& x);
+  /// Breakpoint schedule: source corners + the horizon.
   std::vector<double> build_breakpoints(double t_stop) const;
   SolveStatus newton_step(const TranOptions& options, double t_new, double h,
                           bool trapezoidal, std::vector<double>& x);

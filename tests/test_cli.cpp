@@ -51,10 +51,13 @@ TEST(CliExitCodes, UsageErrorsExitTwoAndNameTheFlag) {
   // Unknown flag.
   EXPECT_EQ(run(cli_path() + " " + example_deck() + " --frobnicate", &out), 2);
   EXPECT_NE(out.find("--frobnicate"), std::string::npos) << out;
-  // Retired flag: every system solves through sparse LU now.
+  // Retired flags: every system solves through sparse LU, and every sample
+  // runs the one scalar evaluation path.
   EXPECT_EQ(run(cli_path() + " " + example_deck() + " --backend=sparse", &out),
             2);
   EXPECT_NE(out.find("--backend"), std::string::npos) << out;
+  EXPECT_EQ(run(cli_path() + " " + example_deck() + " --batch=8", &out), 2);
+  EXPECT_NE(out.find("--batch"), std::string::npos) << out;
   // No deck and no control op: usage, not a crash.
   EXPECT_EQ(run(cli_path(), &out), 2);
   // Inconsistent serving flags: --op without --connect, --job without --op.
@@ -101,6 +104,9 @@ TEST(DaemonExitCodes, UsageErrorsExitTwo) {
   EXPECT_NE(out.find("--tcp=notaport"), std::string::npos) << out;
   EXPECT_EQ(run(daemon_path() + " --bogus", &out), 2);
   EXPECT_NE(out.find("--bogus"), std::string::npos) << out;
+  // Retired flag (jobs always evaluate one sample at a time).
+  EXPECT_EQ(run(daemon_path() + " --batch=8", &out), 2);
+  EXPECT_NE(out.find("--batch"), std::string::npos) << out;
   EXPECT_EQ(run(daemon_path() + " --queue-depth=0 --tcp=0", &out), 2);
 }
 

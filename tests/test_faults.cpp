@@ -147,7 +147,8 @@ TEST(FailureLadder, SnapshotDeltaAttributesCounts) {
   EXPECT_EQ(delta.counts[static_cast<int>(fail::Ladder::kSparseToDense)], 2u);
   EXPECT_EQ(delta.counts[static_cast<int>(fail::Ladder::kSampleInfeasible)],
             1u);
-  EXPECT_EQ(delta.counts[static_cast<int>(fail::Ladder::kLaneDemotion)], 0u);
+  EXPECT_EQ(delta.counts[static_cast<int>(fail::Ladder::kWarmBlobRejected)],
+            0u);
   EXPECT_EQ(delta.total(), 3u);
   EXPECT_STREQ(fail::ladder_name(fail::Ladder::kSparseToDense),
                "sparse_to_dense");

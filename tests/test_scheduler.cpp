@@ -8,6 +8,7 @@
 #include <atomic>
 #include <thread>
 
+#include "src/circuits/circuit_yield.hpp"
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
 #include "src/core/moheco.hpp"
@@ -355,31 +356,57 @@ TwoStageOptions determinism_options() {
   return options;
 }
 
+/// `count` 5T OTA candidates scaled around a design that meets every spec
+/// at the nominal process point; their yields sit mid-range, so the tallies
+/// mix passing and failing samples.
+std::vector<std::unique_ptr<CandidateYield>> make_ota_pool(
+    const YieldProblem& problem, int count) {
+  std::vector<std::unique_ptr<CandidateYield>> owners;
+  for (int i = 0; i < count; ++i) {
+    const double w = 0.7 + 0.06 * i;
+    owners.push_back(std::make_unique<CandidateYield>(
+        problem,
+        std::vector<double>{60e-6 * w, 40e-6 * w, 20e-6, 0.7e-6, 0.85},
+        stats::derive_seed(4242, static_cast<std::uint64_t>(i))));
+  }
+  return owners;
+}
+
 TEST(EvalScheduler, TwoStageBitIdenticalAcrossThreadCounts) {
-  const QuadraticYieldProblem problem(2, 6, 1.0, 0.5);
+  // A synthetic problem and a circuit problem (the 5T OTA, whose sessions
+  // carry Newton warm starts and GBW search seeds): neither's tallies may
+  // move with the pool width.
+  const QuadraticYieldProblem quadratic(2, 6, 1.0, 0.5);
+  const circuits::CircuitYieldProblem ota(
+      circuits::make_five_transistor_ota());
   const TwoStageOptions options = determinism_options();
   int hardware = static_cast<int>(std::thread::hardware_concurrency());
   if (hardware < 1) hardware = 1;
 
-  std::vector<TallySnapshot> snapshots;
-  std::vector<std::vector<std::size_t>> promotions;
-  for (int threads : {1, 2, hardware}) {
-    ThreadPool pool(threads);
-    EvalScheduler scheduler(pool);
-    SimCounter sims;
-    auto owners = make_pool(problem, 10);
-    std::vector<CandidateYield*> cands;
-    for (auto& c : owners) {
-      c->screen_nominal(sims);
-      cands.push_back(c.get());
+  for (const YieldProblem* problem :
+       {static_cast<const YieldProblem*>(&quadratic),
+        static_cast<const YieldProblem*>(&ota)}) {
+    std::vector<TallySnapshot> snapshots;
+    std::vector<std::vector<std::size_t>> promotions;
+    for (int threads : {1, 2, hardware}) {
+      ThreadPool pool(threads);
+      EvalScheduler scheduler(pool);
+      SimCounter sims;
+      auto owners = problem == &quadratic ? make_pool(*problem, 10)
+                                          : make_ota_pool(*problem, 10);
+      std::vector<CandidateYield*> cands;
+      for (auto& c : owners) {
+        c->screen_nominal(sims);
+        cands.push_back(c.get());
+      }
+      promotions.push_back(
+          two_stage_estimate(cands, options, scheduler, sims));
+      snapshots.push_back(snapshot(owners));
     }
-    promotions.push_back(
-        two_stage_estimate(cands, options, scheduler, sims));
-    snapshots.push_back(snapshot(owners));
-  }
-  for (std::size_t i = 1; i < snapshots.size(); ++i) {
-    EXPECT_EQ(snapshots[i], snapshots[0]) << "thread-count variant " << i;
-    EXPECT_EQ(promotions[i], promotions[0]);
+    for (std::size_t i = 1; i < snapshots.size(); ++i) {
+      EXPECT_EQ(snapshots[i], snapshots[0]) << "thread-count variant " << i;
+      EXPECT_EQ(promotions[i], promotions[0]);
+    }
   }
 }
 

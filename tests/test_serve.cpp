@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/failpoint.hpp"
 #include "src/common/json.hpp"
 #include "src/common/parallel.hpp"
 #include "src/obs/build_info.hpp"
@@ -148,12 +149,36 @@ TEST(CacheKeys, WarmKeyIgnoresEverythingButBlobValidity) {
   EXPECT_EQ(warm_cache_key(base), warm_cache_key(other_seed));
   EXPECT_EQ(warm_cache_key(base), warm_cache_key(optimize));
   EXPECT_NE(result_cache_key(base, 1), result_cache_key(other_seed, 1));
-  EXPECT_NE(result_cache_key(base, 1), result_cache_key(base, 4));
 
   // Evaluation options DO shape blob validity.
   JobSpec transient = base;
   transient.eval.transient = true;
   EXPECT_NE(warm_cache_key(base), warm_cache_key(transient));
+}
+
+TEST(CacheKeys, ResultKeyIgnoresPoolWidthAndCheckpointUnlessArmed) {
+  const std::string deck = read_file(example_deck_path());
+  JobSpec plain = estimate_spec(deck, 7);
+  plain.mode = JobMode::kOptimize;
+  JobSpec checkpointed = plain;
+  checkpointed.moheco.checkpoint_dir = "checkpoints";
+
+  // A healthy result is the same bytes at any pool width, checkpointed or
+  // not: one result-cache row (and one daemon checkpoint directory).
+  fail::disarm();
+  const std::string key = result_cache_key(plain, 1);
+  EXPECT_EQ(result_cache_key(plain, 4), key);
+  EXPECT_EQ(result_cache_key(checkpointed, 1), key);
+  EXPECT_EQ(result_cache_key(checkpointed, 4), key);
+
+  // Armed prob: decisions interleave across workers and shift with a
+  // resume, so both terms join the key.
+  fail::arm("seed=1,sparse_factor=prob:0.001");
+  const std::string armed = result_cache_key(plain, 1);
+  EXPECT_NE(armed, key);
+  EXPECT_NE(result_cache_key(plain, 4), armed);
+  EXPECT_NE(result_cache_key(checkpointed, 1), armed);
+  fail::disarm();
 }
 
 // --- submit codec ---------------------------------------------------------
@@ -206,8 +231,9 @@ TEST(Protocol, SubmitCodecRoundTrips) {
 }
 
 TEST(Protocol, LegacyBackendOptionIsAcceptedAndIgnored) {
-  // "backend" selected a linear-solve path that no longer exists: old
-  // clients still decode, to exactly the job a submit without the key runs.
+  // "backend" selected a linear-solve path and "batch" a sample-batch width,
+  // neither of which exists any more: old clients still decode, to exactly
+  // the job a submit without the key runs.
   const std::string prefix =
       "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
       "\"options\":{\"seed\":5";
@@ -221,11 +247,24 @@ TEST(Protocol, LegacyBackendOptionIsAcceptedAndIgnored) {
     return spec;
   };
   const JobSpec plain = decode(prefix + "}}");
-  const JobSpec legacy = decode(prefix + ",\"backend\":\"dense\"}}");
-  EXPECT_EQ(result_fingerprint(legacy, 2), result_fingerprint(plain, 2));
-  EXPECT_EQ(warm_cache_key(legacy), warm_cache_key(plain));
-  // The codec no longer emits the key.
+  for (const char* legacy_key : {",\"backend\":\"dense\"", ",\"batch\":8"}) {
+    const JobSpec legacy = decode(prefix + legacy_key + "}}");
+    EXPECT_EQ(result_fingerprint(legacy, 2), result_fingerprint(plain, 2))
+        << legacy_key;
+    EXPECT_EQ(warm_cache_key(legacy), warm_cache_key(plain)) << legacy_key;
+  }
+  // The codec no longer emits either key.
   EXPECT_EQ(encode_submit(plain, "").find("backend"), std::string::npos);
+  EXPECT_EQ(encode_submit(plain, "").find("batch"), std::string::npos);
+  // A width the old validator refused is still a bad request.
+  const std::optional<JsonValue> wide =
+      parse_json(prefix + ",\"batch\":65}}");
+  ASSERT_TRUE(wide.has_value());
+  JobSpec spec;
+  std::string tag;
+  std::string error;
+  EXPECT_FALSE(decode_submit(*wide, &spec, &tag, &error));
+  EXPECT_NE(error.find("options.batch"), std::string::npos) << error;
 }
 
 TEST(Protocol, SubmitDecodeIsStrict) {
@@ -659,7 +698,6 @@ TEST(Daemon, StatsExposesObservabilitySnapshot) {
   EXPECT_DOUBLE_EQ(stats["result_hit_rate"].as_number(-1.0), 0.5);
   ASSERT_TRUE(stats["build"].is_object());
   EXPECT_EQ(stats["build"]["version"].as_string(), obs::version());
-  ASSERT_TRUE(stats["build"]["simd_caps"].is_object());
 
   // The embedded registry snapshot's serve.* counters agree with the
   // daemon's own accounting for the traffic this test generated.
