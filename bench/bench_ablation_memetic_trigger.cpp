@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
                   yields.count() > 0 ? yields.mean() : -1.0, sims.mean(),
                   gens.mean());
     json_rows += row;
-    json_rows += bench::json_sim_breakdown(breakdown);
+    json_rows += mc::json_sim_breakdown(breakdown);
     json_rows += "}";
   }
   table.print(std::cout, "Example 1, " + std::to_string(options.runs) +

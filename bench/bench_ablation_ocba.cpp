@@ -6,6 +6,7 @@
 
 #include "bench/bench_support.hpp"
 #include "src/mc/candidate_yield.hpp"
+#include "src/mc/eval_scheduler.hpp"
 #include "src/mc/ocba.hpp"
 #include "src/mc/synthetic.hpp"
 #include "src/stats/rng.hpp"
@@ -19,6 +20,7 @@ int main(int argc, char** argv) {
       {0.74, 0.78, 0.55, 0.40, 0.82, 0.66, 0.71, 0.30, 0.50, 0.79});
   const auto arms = problem.yields().size();
   ThreadPool pool(options.threads);
+  EvalScheduler scheduler(pool);
   McOptions pmc;
   pmc.sampling = stats::SamplingMethod::kPMC;
   const int reps = options.scale == BenchScale::kFull ? 500 : 150;
@@ -39,7 +41,7 @@ int main(int argc, char** argv) {
         for (std::size_t i = 0; i < arms; ++i) {
           CandidateYield c(problem, {static_cast<double>(i)},
                            stats::derive_seed(options.seed, rep, i));
-          c.refine(budget_per_arm, pool, sims, pmc);
+          scheduler.refine(c, budget_per_arm, sims, pmc);
           if (c.mean() > best_mean) {
             best_mean = c.mean();
             best = i;
@@ -65,7 +67,7 @@ int main(int argc, char** argv) {
         two_stage.n_max = 1 << 20;
         two_stage.stage2_threshold = 2.0;  // pure stage-1 comparison
         two_stage.mc = pmc;
-        two_stage_estimate(cands, two_stage, pool, sims);
+        two_stage_estimate(cands, two_stage, scheduler, sims);
         std::size_t best = 0;
         for (std::size_t i = 1; i < arms; ++i) {
           if (owners[i]->mean() > owners[best]->mean()) best = i;
@@ -89,7 +91,7 @@ int main(int argc, char** argv) {
                   static_cast<double>(correct_equal) / reps,
                   static_cast<double>(correct_ocba) / reps, equal_sims);
     json_rows += row;
-    json_rows += bench::json_sim_breakdown(ocba_breakdown);
+    json_rows += mc::json_sim_breakdown(ocba_breakdown);
     json_rows += "}";
   }
   table.print(std::cout,

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
                   std::sqrt(pmc.variance()), std::sqrt(lhs.variance()),
                   lhs.variance() > 0 ? pmc.variance() / lhs.variance() : 0.0);
     json_rows += row;
-    json_rows += bench::json_sim_breakdown(row_sims);
+    json_rows += mc::json_sim_breakdown(row_sims);
     json_rows += "}";
   }
   table.print(std::cout, "Yield-estimator spread over " +

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
                   deviations.count() > 0 ? deviations.mean() : -1.0,
                   sims.mean());
     json_rows += row;
-    json_rows += bench::json_sim_breakdown(breakdown);
+    json_rows += mc::json_sim_breakdown(breakdown);
     json_rows += "}";
   }
   table.print(std::cout, "Example 1, " + std::to_string(options.runs) +

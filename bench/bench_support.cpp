@@ -179,16 +179,6 @@ BenchOptions bench_prologue(int argc, char** argv, const std::string& name) {
   return options;
 }
 
-std::string json_sim_breakdown(const mc::SimBreakdown& breakdown) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "{\"screen\":%lld,\"stage1\":%lld,\"ocba\":%lld,"
-                "\"stage2\":%lld,\"other\":%lld,\"total\":%lld}",
-                breakdown.screen, breakdown.stage1, breakdown.ocba,
-                breakdown.stage2, breakdown.other, breakdown.total());
-  return buffer;
-}
-
 bool write_bench_json(const std::string& path, const std::string& bench,
                       const std::string& body) {
   if (path.empty()) return true;

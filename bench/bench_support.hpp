@@ -73,10 +73,6 @@ void print_cost_table(const StudyData& data,
 /// std::nullopt (and prints usage) when --help was requested.
 BenchOptions bench_prologue(int argc, char** argv, const std::string& name);
 
-/// JSON object fragment for a per-phase simulation breakdown:
-/// {"screen":N,"stage1":N,"ocba":N,"stage2":N,"other":N,"total":N}.
-std::string json_sim_breakdown(const mc::SimBreakdown& breakdown);
-
 /// Writes `body` (a JSON object's contents, without the outer braces) to
 /// `path` wrapped as {"<bench>":{"build":{...},<body>}}, the build object
 /// being obs::build_json().  No-op when path is empty;

@@ -91,7 +91,7 @@ void print_usage() {
                "optimizer options (mirroring core::MohecoOptions):\n"
                "  --population=N --max-generations=N --stop-stagnation=N\n"
                "  --seed=S --threads=N --sampling=lhs|pmc\n"
-               "  --no-ocba [--fixed-budget=N] --no-memetic --no-overlap\n"
+               "  --no-ocba [--fixed-budget=N] --no-memetic\n"
                "\n"
                "evaluation:\n"
                "  --transient           step-bench transient per sample (deck needs\n"
@@ -106,7 +106,9 @@ void print_usage() {
                "\n"
                "fault containment (see docs/faults.md):\n"
                "  --checkpoint=DIR      crash-safe per-generation optimizer\n"
-               "                        checkpoints (local optimize runs)\n"
+               "                        checkpoints (local optimize runs); the\n"
+               "                        result equals the run without it (with\n"
+               "                        --faults too, at --threads=1)\n"
                "  --resume              resume from --checkpoint=DIR's state;\n"
                "                        bit-identical to the uninterrupted run\n"
                "                        at any --threads (no faults armed)\n"
@@ -228,8 +230,6 @@ CliOptions parse_cli(int argc, char** argv) {
       cli.moheco.use_ocba = false;
     } else if (arg == "--no-memetic") {
       cli.moheco.use_memetic = false;
-    } else if (arg == "--no-overlap") {
-      cli.moheco.overlap_generations = false;
     } else if (key == "--sampling") {
       try {
         cli.moheco.estimation.mc.sampling = stats::parse_sampling_method(value);

@@ -1,6 +1,5 @@
 #include "src/common/parallel.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <exception>
@@ -23,11 +22,6 @@ struct ThreadPool::Impl {
   std::condition_variable cv_work;
   std::condition_variable cv_done;
   const std::function<void(int, std::size_t)>* fn = nullptr;
-  // parallel_for state
-  std::size_t count = 0;
-  std::size_t grain = 1;
-  std::atomic<std::size_t> next{0};
-  // parallel_for_sharded state (non-null queues selects the sharded mode)
   const std::vector<std::size_t>* queues = nullptr;
   std::size_t num_queues = 0;
   ShardCursor* cursors = nullptr;
@@ -42,15 +36,6 @@ struct ThreadPool::Impl {
     } catch (...) {
       std::lock_guard<std::mutex> lock(mutex);
       if (!error) error = std::current_exception();
-    }
-  }
-
-  void drain_range(int id) {
-    for (;;) {
-      const std::size_t base = next.fetch_add(grain, std::memory_order_relaxed);
-      if (base >= count) break;
-      const std::size_t end = std::min(count, base + grain);
-      for (std::size_t i = base; i < end; ++i) run_item(id, i);
     }
   }
 
@@ -81,29 +66,12 @@ struct ThreadPool::Impl {
         if (stop) return;
         seen_generation = generation;
       }
-      if (queues != nullptr) {
-        drain_sharded(id);
-      } else {
-        drain_range(id);
-      }
+      drain_sharded(id);
       {
         std::lock_guard<std::mutex> lock(mutex);
         if (--active == 0) cv_done.notify_all();
       }
     }
-  }
-
-  /// Dispatches the prepared job state to the workers and blocks until they
-  /// all finish; rethrows the first captured exception.
-  void dispatch_and_wait() {
-    cv_work.notify_all();
-    std::unique_lock<std::mutex> lock(mutex);
-    cv_done.wait(lock, [&] { return active == 0; });
-    fn = nullptr;
-    queues = nullptr;
-    num_queues = 0;
-    cursors = nullptr;
-    if (error) std::rethrow_exception(error);
   }
 };
 
@@ -128,31 +96,6 @@ ThreadPool::~ThreadPool() {
   delete impl_;
 }
 
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(int, std::size_t)>& fn,
-                              std::size_t grain) {
-  if (count == 0) return;
-  if (grain == 0) {
-    // Roughly 8 claims per worker balances counter traffic against tail
-    // imbalance; the cap keeps one oversized range from starving the pool.
-    grain = std::clamp<std::size_t>(
-        count / (8 * static_cast<std::size_t>(num_workers_)), 1, 1024);
-  }
-  {
-    std::unique_lock<std::mutex> lock(impl_->mutex);
-    impl_->fn = &fn;
-    impl_->count = count;
-    impl_->grain = grain;
-    impl_->next.store(0, std::memory_order_relaxed);
-    impl_->queues = nullptr;
-    impl_->num_queues = 0;
-    impl_->error = nullptr;
-    impl_->active = num_workers_;
-    ++impl_->generation;
-  }
-  impl_->dispatch_and_wait();
-}
-
 void ThreadPool::parallel_for_sharded(
     std::span<const std::vector<std::size_t>> queues,
     const std::function<void(int, std::size_t)>& fn) {
@@ -171,14 +114,14 @@ void ThreadPool::parallel_for_sharded(
     impl_->active = num_workers_;
     ++impl_->generation;
   }
-  impl_->dispatch_and_wait();
-}
-
-void ThreadPool::run_tasks(std::span<const std::function<void(int)>> tasks) {
-  if (tasks.empty()) return;
-  parallel_for(
-      tasks.size(), [&tasks](int worker, std::size_t i) { tasks[i](worker); },
-      /*grain=*/1);
+  impl_->cv_work.notify_all();
+  std::unique_lock<std::mutex> lock(impl_->mutex);
+  impl_->cv_done.wait(lock, [this] { return impl_->active == 0; });
+  impl_->fn = nullptr;
+  impl_->queues = nullptr;
+  impl_->num_queues = 0;
+  impl_->cursors = nullptr;
+  if (impl_->error) std::rethrow_exception(impl_->error);
 }
 
 }  // namespace moheco

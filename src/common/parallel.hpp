@@ -1,18 +1,12 @@
 // Worker pool for Monte-Carlo batch evaluation.
 //
-// Three entry points share one set of persistent workers:
-//   - parallel_for(count, fn): a homogeneous index range.  Workers claim
-//     contiguous chunks of indices from an atomic counter (not one index at
-//     a time), so cheap per-item work does not serialize on the counter.
-//   - parallel_for_sharded(queues, fn): a sharded job set with stealing.
-//     Each worker first drains its own queue front-to-back, then steals
-//     from the other queues round-robin.  This is the substrate for the
-//     EvalScheduler's sticky candidate->worker affinity: items routed to a
-//     worker's own queue run on that worker unless load imbalance forces a
-//     steal.
-//   - run_tasks(tasks): a heterogeneous job set (e.g. one generation's
-//     evaluation batches across many candidates), claimed one task at a
-//     time in submission order.
+// One entry point, parallel_for_sharded(queues, fn): a sharded job set with
+// stealing.  Each worker first drains its own queue front-to-back, then
+// steals from the other queues round-robin.  This is the substrate for the
+// EvalScheduler's sticky candidate->worker affinity: items routed to a
+// worker's own queue run on that worker unless load imbalance forces a
+// steal.  With a single queue it is plain shared claiming in submission
+// order.
 //
 // Each worker passes its stable worker id to the callback so callers can
 // keep per-worker state (e.g. the EvalScheduler's per-worker session
@@ -38,15 +32,6 @@ class ThreadPool {
 
   int num_workers() const { return num_workers_; }
 
-  /// Runs fn(worker_id, index) for every index in [0, count); blocks until
-  /// all items finish.  fn must be thread-safe across distinct indices.
-  /// `grain` is the number of indices claimed per atomic increment; 0 picks
-  /// one automatically from count and the worker count.  Exceptions thrown
-  /// by fn are rethrown (first one wins).
-  void parallel_for(std::size_t count,
-                    const std::function<void(int, std::size_t)>& fn,
-                    std::size_t grain = 0);
-
   /// Sharded claiming with work stealing: `queues[s]` lists the item ids
   /// owned by shard s.  Worker w drains queues[w % queues.size()] in order
   /// first, then steals from the remaining queues round-robin (one item per
@@ -56,12 +41,6 @@ class ThreadPool {
   /// Exceptions thrown by fn are rethrown (first one wins).
   void parallel_for_sharded(std::span<const std::vector<std::size_t>> queues,
                             const std::function<void(int, std::size_t)>& fn);
-
-  /// Task-submission API: runs every task(worker_id) exactly once; blocks
-  /// until all tasks finish.  Tasks are claimed one at a time in submission
-  /// order, so expensive tasks placed first overlap the cheap tail.
-  /// Exceptions thrown by tasks are rethrown (first one wins).
-  void run_tasks(std::span<const std::function<void(int)>> tasks);
 
  private:
   struct Impl;

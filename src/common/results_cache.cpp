@@ -1,12 +1,11 @@
 #include "src/common/results_cache.hpp"
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "src/common/atomic_file.hpp"
 #include "src/common/log.hpp"
 #include "src/obs/metrics.hpp"
 
@@ -87,38 +86,18 @@ void ResultsCache::store(const std::string& key, const ResultMap& results) const
     log_warn("results cache: cannot create ", path_, ": ", ec.message());
     return;
   }
-  // Write to a per-process temp file, then atomically rename into place:
-  // concurrently running bench binaries sharing the cache directory either
+  // Concurrently running bench binaries sharing the cache directory either
   // see the old complete file or the new complete file, never a torn write.
-  const std::string final_path = file_for(key);
-  const std::string tmp_path =
-      final_path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp_path);
-    if (!out) {
-      log_warn("results cache: cannot write ", tmp_path);
-      return;
-    }
-    out.precision(17);
-    out << "# moheco results cache, key=" << key << "\n";
-    for (const auto& [name, values] : results) {
-      out << name;
-      for (double v : values) out << ' ' << v;
-      out << '\n';
-    }
-    out.flush();
-    if (!out) {
-      log_warn("results cache: failed writing ", tmp_path);
-      std::filesystem::remove(tmp_path, ec);
-      return;
-    }
+  std::ostringstream out;
+  out.precision(17);
+  out << "# moheco results cache, key=" << key << "\n";
+  for (const auto& [name, values] : results) {
+    out << name;
+    for (double v : values) out << ' ' << v;
+    out << '\n';
   }
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec) {
-    log_warn("results cache: cannot rename ", tmp_path, " -> ", final_path,
-             ": ", ec.message());
-    std::filesystem::remove(tmp_path, ec);
-  }
+  const std::string error = write_file_atomic(file_for(key), out.str());
+  if (!error.empty()) log_warn("results cache: ", error);
 }
 
 std::optional<std::string> ResultsCache::load_text(const std::string& key) const {
@@ -150,29 +129,9 @@ void ResultsCache::store_text(const std::string& key,
     log_warn("results cache: cannot create ", path_, ": ", ec.message());
     return;
   }
-  const std::string final_path = path_ + "/" + sanitize(key) + ".blob";
-  const std::string tmp_path =
-      final_path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp_path, std::ios::out | std::ios::binary);
-    if (!out) {
-      log_warn("results cache: cannot write ", tmp_path);
-      return;
-    }
-    out << text;
-    out.flush();
-    if (!out) {
-      log_warn("results cache: failed writing ", tmp_path);
-      std::filesystem::remove(tmp_path, ec);
-      return;
-    }
-  }
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec) {
-    log_warn("results cache: cannot rename ", tmp_path, " -> ", final_path,
-             ": ", ec.message());
-    std::filesystem::remove(tmp_path, ec);
-  }
+  const std::string error =
+      write_file_atomic(path_ + "/" + sanitize(key) + ".blob", text);
+  if (!error.empty()) log_warn("results cache: ", error);
 }
 
 }  // namespace moheco

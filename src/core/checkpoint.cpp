@@ -1,11 +1,10 @@
 #include "src/core/checkpoint.hpp"
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "src/common/atomic_file.hpp"
 #include "src/common/error.hpp"
 
 namespace moheco::core {
@@ -60,71 +59,58 @@ void save_checkpoint(const std::string& dir, const Checkpoint& state) {
   if (ec) {
     throw Error("checkpoint: cannot create " + dir + ": " + ec.message());
   }
-  const std::string final_path = dir + "/" + kStateFile;
-  const std::string tmp_path =
-      final_path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp_path);
-    if (!out) throw Error("checkpoint: cannot write " + tmp_path);
-    out.precision(17);
-    out << "moheco-ckpt " << kCheckpointVersion << '\n';
-    out << "seed " << state.seed << '\n';
-    out << "dim " << state.dim << '\n';
-    out << "population " << state.population << '\n';
-    out << "use_ocba " << int(state.use_ocba) << '\n';
-    out << "generation " << state.generation << '\n';
-    out << "done " << int(state.done) << '\n';
-    out << "reached_full_yield " << int(state.reached_full_yield) << '\n';
-    out << "result_generations " << state.result_generations << '\n';
-    out << "best_scalar " << state.best_scalar << '\n';
-    out << "stagnant " << state.stagnant_ls << ' ' << state.stagnant_stop
-        << '\n';
-    out << "stream_counter " << state.stream_counter << '\n';
-    out << "rng " << state.rng.s[0] << ' ' << state.rng.s[1] << ' '
-        << state.rng.s[2] << ' ' << state.rng.s[3] << ' ' << state.rng.spare
-        << ' ' << int(state.rng.has_spare) << '\n';
-    out << "last_ls";
-    put_vec(out, state.last_local_search_x);
+  std::ostringstream out;
+  out.precision(17);
+  out << "moheco-ckpt " << kCheckpointVersion << '\n';
+  out << "seed " << state.seed << '\n';
+  out << "dim " << state.dim << '\n';
+  out << "population " << state.population << '\n';
+  out << "use_ocba " << int(state.use_ocba) << '\n';
+  out << "generation " << state.generation << '\n';
+  out << "done " << int(state.done) << '\n';
+  out << "reached_full_yield " << int(state.reached_full_yield) << '\n';
+  out << "result_generations " << state.result_generations << '\n';
+  out << "best_scalar " << state.best_scalar << '\n';
+  out << "stagnant " << state.stagnant_ls << ' ' << state.stagnant_stop
+      << '\n';
+  out << "stream_counter " << state.stream_counter << '\n';
+  out << "rng " << state.rng.s[0] << ' ' << state.rng.s[1] << ' '
+      << state.rng.s[2] << ' ' << state.rng.s[3] << ' ' << state.rng.spare
+      << ' ' << int(state.rng.has_spare) << '\n';
+  out << "last_ls";
+  put_vec(out, state.last_local_search_x);
+  out << '\n';
+  out << "sims " << state.sims.screen << ' ' << state.sims.stage1 << ' '
+      << state.sims.ocba << ' ' << state.sims.stage2 << ' '
+      << state.sims.other << '\n';
+  out << "fails " << state.fails.quarantine_open << ' '
+      << state.fails.quarantine_eval << ' ' << state.fails.quarantine_screen
+      << '\n';
+  for (const Checkpoint::MemberState& m : state.members) {
+    out << "member";
+    put_vec(out, m.x);
     out << '\n';
-    out << "sims " << state.sims.screen << ' ' << state.sims.stage1 << ' '
-        << state.sims.ocba << ' ' << state.sims.stage2 << ' '
-        << state.sims.other << '\n';
-    out << "fails " << state.fails.quarantine_open << ' '
-        << state.fails.quarantine_eval << ' ' << state.fails.quarantine_screen
-        << '\n';
-    for (const Checkpoint::MemberState& m : state.members) {
-      out << "member";
-      put_vec(out, m.x);
-      out << '\n';
-      out << "fitness " << int(m.feasible) << ' ' << m.violation << ' '
-          << m.yield << ' ' << m.samples << '\n';
-      out << "tally " << int(m.has_tally);
-      if (m.has_tally) {
-        out << ' ' << m.stream_seed << ' ' << m.tally_samples << ' '
-            << m.tally_passes << ' ' << m.tally_batches << ' '
-            << int(m.screened) << ' ' << int(m.nominal_pass) << ' '
-            << m.nominal_violation << ' ' << int(m.tally_failed) << ' '
-            << m.fail_reason;
-      }
-      out << '\n';
+    out << "fitness " << int(m.feasible) << ' ' << m.violation << ' '
+        << m.yield << ' ' << m.samples << '\n';
+    out << "tally " << int(m.has_tally);
+    if (m.has_tally) {
+      out << ' ' << m.stream_seed << ' ' << m.tally_samples << ' '
+          << m.tally_passes << ' ' << m.tally_batches << ' '
+          << int(m.screened) << ' ' << int(m.nominal_pass) << ' '
+          << m.nominal_violation << ' ' << int(m.tally_failed) << ' '
+          << m.fail_reason;
     }
-    for (const auto& [key, blob] : state.blobs) {
-      out << "blob " << key;
-      put_vec(out, blob);
-      out << '\n';
-    }
-    out << "end\n";
-    out.flush();
-    if (!out) {
-      std::filesystem::remove(tmp_path, ec);
-      throw Error("checkpoint: failed writing " + tmp_path);
-    }
+    out << '\n';
   }
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp_path, ec);
-    throw Error("checkpoint: cannot rename " + tmp_path + " -> " + final_path);
+  for (const auto& [key, blob] : state.blobs) {
+    out << "blob " << key;
+    put_vec(out, blob);
+    out << '\n';
   }
+  out << "end\n";
+  const std::string error =
+      write_file_atomic(dir + "/" + kStateFile, out.str());
+  if (!error.empty()) throw Error("checkpoint: " + error);
 }
 
 std::optional<Checkpoint> load_checkpoint(const std::string& dir) {

@@ -11,12 +11,17 @@
 // Determinism: sample batch b of a candidate is a pure function of
 // (stream_seed, b), so the tally counters (samples/passes/batches) plus the
 // screen state fully reproduce the candidate's stream position.  Together
-// with the optimizer RNG state and the normalized scheduler blob store
-// (EvalScheduler::checkpoint_blobs), resuming from generation g replays the
+// with the optimizer RNG state, resuming from generation g replays the
 // remaining generations bit-identically to the uninterrupted run, at any
-// worker count (fail points disarmed).  The saved counters
-// are the run's outcome only -- simulations per phase and quarantines per
-// reason; scheduler events are process telemetry and are not saved.
+// worker count (fail points disarmed).  The scheduler's warm-start blob
+// store (EvalScheduler::export_blobs, which parks live sessions without
+// evicting them) rides along so a resumed run starts warm; writing it
+// leaves the running scheduler untouched, so a checkpointed run gives the
+// same result as an uncheckpointed one -- at one worker even with fail
+// points armed, since their hit ordinals then follow the same session
+// opens.  The saved counters are the run's outcome only -- simulations per
+// phase and quarantines per reason; scheduler events are process telemetry
+// and are not saved.
 //
 // Doubles are stored at precision 17 (shortest exactly-round-tripping
 // decimal length for binary64), the same discipline as ResultsCache.
@@ -85,7 +90,7 @@ struct Checkpoint {
   };
   std::vector<MemberState> members;
 
-  /// EvalScheduler::checkpoint_blobs() snapshot (decimal design hash ->
+  /// EvalScheduler::export_blobs() snapshot (decimal design hash ->
   /// warm-start blob), re-imported on resume.
   ResultMap blobs;
 };

@@ -20,11 +20,14 @@
 //
 // Scheduling: the loop is pipelined across generations.  Stage-2 promotion
 // batches of generation g are enqueued when promotion is decided (from the
-// stage-1 tallies) but evaluated together with generation g+1's nominal
-// screens as one overlapping job set on the EvalScheduler, whose sticky
-// candidate->worker affinity and warm-start blob store keep hot candidates'
-// evaluator sessions warm across rounds and generations.  See
-// MohecoOptions::overlap_generations and src/mc/eval_scheduler.hpp.
+// stage-1 tallies, streams consumed) but evaluated together with
+// generation g+1's nominal screens as one job set on the EvalScheduler,
+// whose sticky candidate->worker affinity and warm-start blob store keep
+// hot candidates' evaluator sessions warm across rounds and generations.
+// Stage-2 samples land in the tallies before generation g+1's OCBA pool
+// reads them, and flush boundaries never change tallies, so the result is
+// the same as draining each generation's stage-2 batches on their own.
+// See src/mc/eval_scheduler.hpp.
 #pragma once
 
 #include <cstdint>
@@ -61,32 +64,23 @@ struct MohecoOptions {
   int max_generations = 200;
   int threads = 0;                ///< MC worker threads; 0 = hardware
   /// Generation-wide evaluation scheduler knobs (per-worker session-cache
-  /// capacity, chunk size, sticky affinity, warm-start blob store).  The
-  /// optimizer owns one EvalScheduler for its whole run, so session caches
-  /// persist across generations.
+  /// capacity, warm-start blob store).  The optimizer owns one
+  /// EvalScheduler for its whole run, so session caches persist across
+  /// generations.
   mc::SchedulerOptions scheduler;
-  /// Pipelined generation overlap: the stage-2 promotion batches of
-  /// generation g are enqueued (streams consumed, promotion decided from
-  /// stage-1 tallies) but evaluated together with the nominal screens of
-  /// generation g+1 as ONE job set, instead of in their own pool barrier.
-  /// Stage-2 samples land in the tallies before generation g+1's OCBA pool
-  /// reads them, and the sample streams are identical either way, so yield
-  /// tallies are bit-identical with the overlap on or off (the off setting
-  /// drains the deferred batches in a separate flush at the same point).
-  bool overlap_generations = true;
   std::uint64_t seed = 1;
   /// Crash-safe checkpointing: when non-empty, the optimizer writes its
   /// full generation-granular state (population, tallies, RNG streams,
   /// counters, warm-blob store) into this directory after every generation,
-  /// each file landing via atomic temp-file + rename.  Checkpoint mode
-  /// normalizes the scheduler at each generation boundary (live sessions
-  /// parked to the blob store) so a resumed run rebuilds the exact same
-  /// scheduler state; the result is the same as a non-checkpointed run's.
+  /// each file landing via atomic temp-file + rename.  Writing a checkpoint
+  /// leaves the scheduler's caches as they are, so the result is the same
+  /// as a non-checkpointed run's (at one thread, even with fail points
+  /// armed).
   std::string checkpoint_dir;
   /// With `resume`, run() first tries to load `checkpoint_dir`'s state and
   /// continues from the last completed generation; the final result is
-  /// bit-identical to the uninterrupted run at any thread count (batch
-  /// width 1, fail points disarmed).  A missing checkpoint starts fresh; a
+  /// bit-identical to the uninterrupted run at any thread count (fail
+  /// points disarmed).  A missing checkpoint starts fresh; a
   /// checkpoint from a different problem/options shape throws.
   bool resume = false;
   /// Cooperative cancellation hook, polled at generation boundaries (after
@@ -195,8 +189,9 @@ class MohecoOptimizer {
   void init_bounds(const mc::YieldProblem& problem);
   std::size_t best_index() const;
   /// Checkpoint-mode generation boundary: drains the deferred stage-2
-  /// batches, normalizes the scheduler (EvalScheduler::checkpoint_blobs)
-  /// and atomically writes the full run state to options_.checkpoint_dir.
+  /// batches and atomically writes the full run state, with a snapshot of
+  /// the scheduler's blob store (EvalScheduler::export_blobs), to
+  /// options_.checkpoint_dir.
   void write_checkpoint(int generation, bool done, const MohecoResult& result,
                         double best_scalar, int stagnant_ls,
                         int stagnant_stop);

@@ -27,15 +27,6 @@ CandidateYield::CandidateYield(const YieldProblem& problem,
           "CandidateYield: design vector size mismatch");
 }
 
-const SampleResult& CandidateYield::screen_nominal(SimCounter& sims) {
-  if (!screened_) {
-    nominal_ = problem_->open(x_)->evaluate({});
-    screened_ = true;
-    sims.add(1, SimPhase::kScreen);
-  }
-  return nominal_;
-}
-
 void CandidateYield::record_nominal(const SampleResult& result,
                                     SimCounter& sims) {
   if (screened_) return;
@@ -61,13 +52,6 @@ void CandidateYield::record(long long samples, long long passes) {
           "CandidateYield: invalid tally record");
   samples_ += samples;
   passes_ += passes;
-}
-
-void CandidateYield::refine(long long count, ThreadPool& pool,
-                            SimCounter& sims, const McOptions& options) {
-  if (count <= 0) return;
-  EvalScheduler scheduler(pool);
-  scheduler.refine(*this, count, sims, options);
 }
 
 double CandidateYield::mean() const {

@@ -36,13 +36,9 @@ class CandidateYield {
   CandidateYield(const YieldProblem& problem, std::vector<double> x,
                  std::uint64_t stream_seed);
 
-  /// Acceptance-sampling screen: evaluates the nominal point once through a
-  /// throwaway session (counts one simulation on first call; later calls
-  /// return the cached result).  The batched equivalent, which reuses
-  /// cached sessions, is EvalScheduler::screen().
-  const SampleResult& screen_nominal(SimCounter& sims);
-  /// Records an externally evaluated nominal screen (EvalScheduler::screen);
-  /// counts one simulation unless already screened.
+  /// Records the acceptance-sampling screen, the nominal point's result as
+  /// evaluated by EvalScheduler::screen(); counts one simulation unless
+  /// already screened.
   void record_nominal(const SampleResult& result, SimCounter& sims);
   bool screened() const { return screened_; }
   bool nominal_feasible() const { return screened_ && nominal_.pass; }
@@ -54,13 +50,6 @@ class CandidateYield {
   linalg::MatrixD next_batch(long long count, const McOptions& options);
   /// Adds a finished batch to the tally.
   void record(long long samples, long long passes);
-
-  /// Draws and evaluates `count` additional samples on `pool` through a
-  /// temporary single-candidate scheduler.  This is the per-candidate
-  /// legacy path (one pool barrier per call); generation-wide flows should
-  /// batch through an EvalScheduler instead.
-  void refine(long long count, ThreadPool& pool, SimCounter& sims,
-              const McOptions& options);
 
   /// Quarantine marking (EvalScheduler): the candidate's evaluation failed
   /// irrecoverably this run; optimizers treat it as infeasible.  The tally

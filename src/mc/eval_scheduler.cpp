@@ -11,6 +11,16 @@
 #include "src/obs/trace.hpp"
 
 namespace moheco::mc {
+namespace {
+
+/// Rows per scheduling chunk: roughly four chunks per worker, capped at 64,
+/// so a single large stage-2 batch still spreads across the whole pool.
+std::size_t chunk_size(std::size_t rows, int workers) {
+  return std::clamp<std::size_t>(
+      rows / (4 * static_cast<std::size_t>(workers)), 1, 64);
+}
+
+}  // namespace
 
 std::uint64_t design_hash(std::span<const double> x) { return fnv1a64(x); }
 
@@ -96,41 +106,6 @@ std::size_t EvalScheduler::import_blobs(const YieldProblem& problem,
     }
   }
   return imported;
-}
-
-ResultMap EvalScheduler::checkpoint_blobs() {
-  require(pending_.empty(),
-          "EvalScheduler::checkpoint_blobs: flush pending jobs first");
-  std::lock_guard<std::mutex> maintenance(maintenance_mutex_);
-  // Park every live session, then drop the worker caches entirely: a
-  // resumed run starts with cold caches, so the checkpointed run must
-  // continue from cold caches too for the eviction/affinity decisions to
-  // match from here on.
-  for (WorkerCache& cache : caches_) {
-    for (CacheEntry& entry : cache.entries) {
-      if (entry.session) {
-        park_blob(entry.x_hash, entry.problem, *entry.session);
-        live_sessions_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    cache.entries.clear();
-    cache.tick = 0;
-  }
-  preferred_.clear();
-  std::lock_guard<std::mutex> lock(blob_mutex_);
-  ResultMap out;
-  for (const auto& [hash, entry] : blobs_) {
-    out.emplace(std::to_string(hash), entry.blob);
-  }
-  // Renumber the blob LRU ticks to what import_blobs() on a fresh scheduler
-  // assigns when fed this snapshot: 1..N in sorted decimal-key order.
-  blob_tick_ = 0;
-  for (const auto& [key, blob] : out) {
-    const std::uint64_t hash = std::strtoull(key.c_str(), nullptr, 10);
-    auto it = blobs_.find(hash);
-    if (it != blobs_.end()) it->second.tick = ++blob_tick_;
-  }
-  return out;
 }
 
 void EvalScheduler::forget_problem(const YieldProblem* problem) {
@@ -324,13 +299,8 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
     if (!job.screen) total += job.count;
   }
 
-  std::size_t chunk = options_.chunk;
-  if (chunk == 0) {
-    chunk = std::clamp<std::size_t>(
-        static_cast<std::size_t>(total) /
-            (4 * static_cast<std::size_t>(pool_->num_workers())),
-        1, 64);
-  }
+  const std::size_t chunk =
+      chunk_size(static_cast<std::size_t>(total), pool_->num_workers());
 
   // Sticky routing: every job goes to its candidate's preferred worker; new
   // candidates are placed on the least-loaded queue.  The assignment itself
@@ -343,16 +313,16 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
   }
 
   // One task per (job, row range); all tasks of a round drain as one pool
-  // dispatch.  Tasks of one job are contiguous, so a worker claiming
-  // neighbouring tasks stays on the same candidate's session.
+  // dispatch.  Tasks of one job are contiguous in their worker's queue, so
+  // a worker claiming neighbouring tasks stays on the same candidate's
+  // session.
   struct Task {
     std::size_t job;
     std::size_t begin;
     std::size_t end;
   };
   std::vector<Task> tasks;
-  tasks.reserve(pending_.size() +
-                static_cast<std::size_t>(total) / std::max<std::size_t>(chunk, 1));
+  tasks.reserve(pending_.size() + static_cast<std::size_t>(total) / chunk);
   for (std::size_t j = 0; j < pending_.size(); ++j) {
     if (pending_[j].screen) {
       tasks.push_back({j, 0, 1});
@@ -413,17 +383,15 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
   const long long cold_before = cold_opens_.load(std::memory_order_relaxed);
   const long long warm_before = warm_opens_.load(std::memory_order_relaxed);
   try {
-    if (options_.sticky && pool_->num_workers() > 1) {
-      std::vector<std::vector<std::size_t>> queues(
-          static_cast<std::size_t>(pool_->num_workers()));
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        queues[static_cast<std::size_t>(pending_[tasks[t].job].preferred)]
-            .push_back(t);
-      }
-      pool_->parallel_for_sharded(queues, evaluate_task);
-    } else {
-      pool_->parallel_for(tasks.size(), evaluate_task, /*grain=*/1);
+    // Each task goes to its candidate's preferred worker's queue; workers
+    // steal only once their own queue is drained.
+    std::vector<std::vector<std::size_t>> queues(
+        static_cast<std::size_t>(pool_->num_workers()));
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      queues[static_cast<std::size_t>(pending_[tasks[t].job].preferred)]
+          .push_back(t);
     }
+    pool_->parallel_for_sharded(queues, evaluate_task);
   } catch (...) {
     // Pool-infrastructure failure (evaluation errors are contained per job
     // above): drop the whole job set untallied, keep the scheduler usable.
@@ -570,21 +538,16 @@ void EvalScheduler::for_each(
           "EvalScheduler::for_each: flush pending jobs first");
   if (rows == 0) return;
   std::lock_guard<std::mutex> maintenance(maintenance_mutex_);
-  std::size_t chunk = options_.chunk;
-  if (chunk == 0) {
-    chunk = std::clamp<std::size_t>(
-        rows / (4 * static_cast<std::size_t>(pool_->num_workers())), 1, 64);
-  }
-  const std::size_t num_chunks = (rows + chunk - 1) / chunk;
-  pool_->parallel_for(
-      num_chunks,
-      [&](int worker, std::size_t c) {
-        YieldProblem::Session* session = session_for(worker, tally);
-        const std::size_t begin = c * chunk;
-        const std::size_t end = std::min(rows, begin + chunk);
-        for (std::size_t i = begin; i < end; ++i) fn(*session, i);
-      },
-      /*grain=*/1);
+  const std::size_t chunk = chunk_size(rows, pool_->num_workers());
+  // One shared queue of chunk indices: any worker claims the next chunk.
+  std::vector<std::vector<std::size_t>> queue(1);
+  for (std::size_t c = 0; c * chunk < rows; ++c) queue[0].push_back(c);
+  pool_->parallel_for_sharded(queue, [&](int worker, std::size_t c) {
+    YieldProblem::Session* session = session_for(worker, tally);
+    const std::size_t begin = c * chunk;
+    const std::size_t end = std::min(rows, begin + chunk);
+    for (std::size_t i = begin; i < end; ++i) fn(*session, i);
+  });
 }
 
 }  // namespace moheco::mc

@@ -1,18 +1,18 @@
 // Generation-wide Monte-Carlo evaluation scheduler.
 //
-// The two-stage estimator used to call CandidateYield::refine() candidate
-// by candidate: every OCBA delta-increment was a pool-wide barrier over a
-// tiny batch (workers idle while one candidate's handful of samples
-// drained), and every candidate pinned one evaluator session per worker
-// for its whole lifetime (S x W sized netlists and factorizations live at
-// once).  The EvalScheduler fixes both, and keeps the evaluation pipeline
-// warm end-to-end:
+// Refining candidates one by one would make every OCBA delta-increment a
+// pool-wide barrier over a tiny batch (workers idle while one candidate's
+// handful of samples drains), and pinning one evaluator session per worker
+// to every candidate for its whole lifetime would keep S x W sized
+// netlists and factorizations live at once.  The EvalScheduler avoids
+// both, and keeps the evaluation pipeline warm end-to-end:
 //
 //   - Batching: callers enqueue() all candidates' sample ranges for a round
 //     and flush() once.  The whole round becomes one chunked job set drained
-//     by the pool with no per-candidate barriers.  Nominal screens are jobs
-//     too (enqueue_screen), so a deferred stage-2 batch of generation g and
-//     the screens of generation g+1 can run as ONE overlapping job set.
+//     by the pool with no per-candidate barriers; the chunk size follows
+//     from the round's sample count and the worker count.  Nominal screens
+//     are jobs too (enqueue_screen), so a deferred stage-2 batch of
+//     generation g and the screens of generation g+1 run as ONE job set.
 //   - Session caching: sessions live in per-worker LRU caches keyed by
 //     candidate id.  Peak live sessions are bounded by
 //     sessions_per_worker x workers no matter how many candidates are in
@@ -35,11 +35,10 @@
 // (batch index and size are fixed at enqueue time), every sample of a batch
 // is evaluated exactly once through Session::evaluate(), and pass counts are
 // integers summed in job order -- so yield tallies are bit-identical across
-// worker counts, chunk sizes, cache capacities, affinity on/off and warm
-// starts on/off, and identical to the per-candidate refine() path for the
-// same round structure.  This relies on the YieldProblem session-cache
-// contract (see src/mc/yield_problem.hpp): sample results are pure
-// functions of (x, xi).
+// worker counts, flush boundaries, cache capacities and warm starts on/off,
+// and identical to a per-candidate refine() loop with the same round
+// structure.  This relies on the YieldProblem session-cache contract (see
+// src/mc/yield_problem.hpp): sample results are pure functions of (x, xi).
 #pragma once
 
 #include <atomic>
@@ -67,14 +66,6 @@ struct SchedulerOptions {
   /// full cache evicts the least-recently-used session before opening the
   /// replacement.
   int sessions_per_worker = 8;
-  /// Samples per scheduling chunk; 0 picks one automatically (roughly four
-  /// chunks per worker per flush, capped at 64) so a single large stage-2
-  /// batch still spreads across the whole pool.
-  std::size_t chunk = 0;
-  /// Sticky candidate->worker affinity: route each candidate's chunks to
-  /// its preferred worker's queue (with stealing) instead of letting any
-  /// worker claim any chunk.  Off replays the PR 3 contiguous claiming.
-  bool sticky = true;
   /// Capacity of the warm-start blob store (evicted sessions' serialized
   /// state, keyed by design-vector hash).  0 disables warm starts.
   int warm_start_blobs = 256;
@@ -86,7 +77,6 @@ class EvalScheduler {
 
   ThreadPool& pool() const { return *pool_; }
   int num_workers() const { return pool_->num_workers(); }
-  const SchedulerOptions& options() const { return options_; }
 
   /// Queues `count` fresh samples of `tally`'s stream for the next flush().
   /// The batch is drawn immediately (the stream position is consumed at
@@ -142,11 +132,11 @@ class EvalScheduler {
 
   /// Batched nominal screens: enqueue_screen() + flush() for a candidate
   /// set.  Note this also drains any other pending jobs in the same job
-  /// set (the generation-overlap fast path).
+  /// set (the optimizer's deferred stage-2 batches).
   void screen(std::span<CandidateYield* const> candidates, SimCounter& sims);
 
-  /// enqueue() + flush() for a single candidate: the per-candidate legacy
-  /// shape, kept for callers outside generation-wide rounds.
+  /// enqueue() + flush() for a single candidate, for callers outside
+  /// generation-wide rounds.
   void refine(CandidateYield& tally, long long count, SimCounter& sims,
               const McOptions& options, SimPhase phase = SimPhase::kOther);
 
@@ -181,17 +171,6 @@ class EvalScheduler {
   /// back to a cold open.  Entries beyond the store capacity are dropped.
   /// Returns the number of blobs imported.
   std::size_t import_blobs(const YieldProblem& problem, const ResultMap& blobs);
-
-  /// Checkpoint-mode normalization (no pending jobs allowed): parks every
-  /// live session into the blob store, clears the worker caches and the
-  /// sticky-affinity table, and renumbers the blob LRU ticks in sorted
-  /// blob-key order starting from a reset tick counter.  Afterwards the
-  /// scheduler's observable state is exactly what a fresh scheduler gets
-  /// from import_blobs() of this store's snapshot -- which is what a
-  /// resumed run does -- so a checkpointed run and its resume see the same
-  /// cache/eviction/affinity decisions from this boundary on.  Returns the
-  /// export_blobs()-format snapshot for persisting.
-  ResultMap checkpoint_blobs();
 
   /// Drops every cached session and parked blob attributed to `problem`.
   /// Callers that destroy a problem while the scheduler lives on (the

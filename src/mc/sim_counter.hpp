@@ -13,6 +13,9 @@
 
 #include <atomic>
 #include <cstddef>
+#include <string>
+
+#include "src/common/json.hpp"
 
 namespace moheco::mc {
 
@@ -99,6 +102,19 @@ struct SimBreakdown {
 
   bool operator==(const SimBreakdown&) const = default;
 };
+
+/// The breakdown as the result JSON and the ablation benches print it:
+/// {"screen":N,"stage1":N,"ocba":N,"stage2":N,"other":N,"total":N}.
+inline std::string json_sim_breakdown(const SimBreakdown& b) {
+  JsonObject obj;
+  obj.add_int("screen", b.screen);
+  obj.add_int("stage1", b.stage1);
+  obj.add_int("ocba", b.ocba);
+  obj.add_int("stage2", b.stage2);
+  obj.add_int("other", b.other);
+  obj.add_int("total", b.total());
+  return obj.str();
+}
 
 class SimCounter {
  public:

@@ -1,15 +1,12 @@
 #include "src/obs/metrics.hpp"
 
-#include <unistd.h>
-
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
 
+#include "src/common/atomic_file.hpp"
 #include "src/common/json.hpp"
 #include "src/common/log.hpp"
 #include "src/common/thread_id.hpp"
@@ -149,32 +146,11 @@ Registry& registry() {
 }
 
 bool write_metrics_json(const std::string& path) {
-  const std::string body = registry().snapshot().to_json();
-  const std::string tmp_path = path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      log_error("metrics: cannot open ", tmp_path);
-      return false;
-    }
-    out << body << '\n';
-    out.flush();
-    if (!out) {
-      log_error("metrics: write failed for ", tmp_path);
-      std::error_code ec;
-      std::filesystem::remove(tmp_path, ec);
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, path, ec);
-  if (ec) {
-    log_error("metrics: cannot rename ", tmp_path, " -> ", path, ": ",
-              ec.message());
-    std::filesystem::remove(tmp_path, ec);
-    return false;
-  }
-  return true;
+  const std::string error =
+      write_file_atomic(path, registry().snapshot().to_json() + '\n');
+  if (error.empty()) return true;
+  log_error("metrics: ", error);
+  return false;
 }
 
 namespace {

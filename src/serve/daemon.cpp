@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <utility>
 
 #include "src/common/error.hpp"
@@ -669,8 +670,8 @@ void Daemon::run_job(const std::shared_ptr<Job>& job) {
   // content + pre-checkpoint result fingerprint), and always set resume --
   // a fresh job finds no checkpoint and starts clean, while a daemon
   // restarted after a mid-job crash replays the interrupted run from its
-  // last completed generation.  Must happen BEFORE computing rkey: the
-  // checkpoint bit is part of the result fingerprint.
+  // last completed generation.  Must happen BEFORE computing rkey: an
+  // armed job's result fingerprint carries the checkpoint bit.
   if (!options_.checkpoint_dir.empty() && job->spec.mode == JobMode::kOptimize) {
     const std::string ident =
         deck_content_hash(job->spec.deck_text) + "_" +
@@ -756,6 +757,16 @@ void Daemon::run_job(const std::shared_ptr<Job>& job) {
   if (result.ok) {
     result_store(rkey, result.json, result.sized_deck);
     if (!result.warm_blobs.empty()) warm_store(wkey, result.warm_blobs);
+    // The stored result now answers a resubmit, so the job's checkpoint
+    // (its own subdirectory, never the daemon's root) has served its turn.
+    if (!job->spec.moheco.checkpoint_dir.empty()) {
+      std::error_code ec;
+      std::filesystem::remove_all(job->spec.moheco.checkpoint_dir, ec);
+      if (ec) {
+        log_warn("moheco_d: cannot remove ", job->spec.moheco.checkpoint_dir,
+                 ": ", ec.message());
+      }
+    }
     JsonObject obj;
     obj.add_bool("ok", true);
     obj.add_string("op", "result");

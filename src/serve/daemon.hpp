@@ -77,7 +77,9 @@ struct DaemonOptions {
   /// DIR/<deck-hash>_<fingerprint-hash>/ and resumes from it if present --
   /// a daemon killed mid-job replays the interrupted run to the identical
   /// result after restart (bit-identical at any pool width with fail
-  /// points disarmed).
+  /// points disarmed).  A job's directory is removed once its result is
+  /// stored; cancelled, failed and deadline-expired jobs keep theirs, so a
+  /// resubmit resumes.
   std::string checkpoint_dir;
   /// Chrome trace-event export: when non-empty, span tracing is armed at
   /// start() and the buffered trace is written here when the daemon stops.

@@ -72,7 +72,6 @@ std::string result_fingerprint(const JobSpec& spec, int workers) {
         << " lsstag=" << m.local_search_stagnation
         << " nm=" << m.nm_max_iterations << " ocba=" << (m.use_ocba ? 1 : 0)
         << " budget=" << m.fixed_budget << " memetic=" << (m.use_memetic ? 1 : 0)
-        << " overlap=" << (m.overlap_generations ? 1 : 0)
         << " n0=" << m.estimation.n0 << " simavg=" << m.estimation.sim_avg
         << " delta=" << m.estimation.delta << " nmax=" << m.estimation.n_max
         << " s2=" << m.estimation.stage2_threshold << " f=" << m.de.f
@@ -119,17 +118,6 @@ std::string json_performance(const circuits::Performance& perf) {
   obj.add_number("sat_margin", perf.sat_margin);
   obj.add_number("slew_rate", perf.slew_rate);
   obj.add_number("settling_time", perf.settling_time);
-  return obj.str();
-}
-
-std::string json_sim_breakdown(const mc::SimBreakdown& b) {
-  JsonObject obj;
-  obj.add_int("screen", b.screen);
-  obj.add_int("stage1", b.stage1);
-  obj.add_int("ocba", b.ocba);
-  obj.add_int("stage2", b.stage2);
-  obj.add_int("other", b.other);
-  obj.add_int("total", b.total());
   return obj.str();
 }
 
@@ -263,7 +251,8 @@ JobResult JobRunner::run(const JobSpec& spec, const ResultMap* warm_blobs,
       json.add_bool("reached_full_yield", result.reached_full_yield);
       json.add_int("warm_blobs_imported",
                    static_cast<long long>(out.warm_blobs_imported));
-      json.add_raw("sim_breakdown", json_sim_breakdown(result.sim_breakdown));
+      json.add_raw("sim_breakdown",
+                   mc::json_sim_breakdown(result.sim_breakdown));
       const fail::LadderSnapshot ladder =
           fail::ladder_delta(ladder_before, fail::ladder_snapshot());
       if (want_fail_breakdown(result.fail_breakdown, ladder)) {

@@ -24,7 +24,6 @@ std::string encode_submit(const JobSpec& spec, const std::string& tag) {
   options.add_bool("use_ocba", m.use_ocba);
   options.add_int("fixed_budget", m.fixed_budget);
   options.add_bool("use_memetic", m.use_memetic);
-  options.add_bool("overlap", m.overlap_generations);
   options.add_int("estimate_samples", spec.estimate_samples);
   options.add_bool("transient", spec.eval.transient);
   options.add_bool("sized_deck", spec.want_sized_deck);
@@ -98,7 +97,13 @@ bool decode_submit(const JsonValue& request, JobSpec* spec, std::string* tag,
     } else if (key == "use_memetic") {
       m.use_memetic = value.as_bool();
     } else if (key == "overlap") {
-      m.overlap_generations = value.as_bool();
+      // Retired option (generations are always pipelined): older codecs
+      // sent it on every submit, so a boolean is accepted and ignored for
+      // one release.
+      if (!value.is_bool()) {
+        *error = "options.overlap must be a boolean";
+        return false;
+      }
     } else if (key == "estimate_samples") {
       spec->estimate_samples = value.as_int();
       if (spec->estimate_samples <= 0) {
@@ -107,15 +112,6 @@ bool decode_submit(const JsonValue& request, JobSpec* spec, std::string* tag,
       }
     } else if (key == "transient") {
       spec->eval.transient = value.as_bool();
-    } else if (key == "backend") {
-      // Retired option (every system now solves through sparse LU): the
-      // old values are accepted and ignored for one release.
-      if (!value.is_string() ||
-          (value.as_string() != "dense" && value.as_string() != "sparse" &&
-           value.as_string() != "auto")) {
-        *error = "options.backend must be \"dense\", \"sparse\" or \"auto\"";
-        return false;
-      }
     } else if (key == "batch") {
       // Retired option (every sample runs the scalar path): older codecs
       // sent it on every submit, so the old valid widths are accepted and

@@ -514,6 +514,44 @@ TEST(Checkpoint, ResumeReproducesTheUninterruptedRunBitForBit) {
   }
 }
 
+TEST(Checkpoint, ArmedOneThreadRunEqualsTheUncheckpointedRun) {
+  // Writing a checkpoint leaves the scheduler's session caches as they
+  // are, so at one worker a checkpointed run opens sessions in the same
+  // order as a plain one -- and prob: fail points, which follow per-site
+  // hit ordinals, fire on the same opens.  The cache holds every
+  // candidate, so sessions outlive the generation boundaries where the
+  // checkpoints land.
+  FailGuard guard;
+  const mc::QuadraticYieldProblem problem(3, 6, 1.0, 0.25, 2.0);
+  const auto run = [&problem](const std::string& checkpoint_dir) {
+    fail::arm("seed=5,session_open=prob:0.2");  // restarts the hit ordinals
+    core::MohecoOptions options;
+    options.population = 10;
+    options.estimation.n0 = 10;
+    options.estimation.sim_avg = 25;
+    options.estimation.n_max = 120;
+    options.max_generations = 6;
+    options.stop_stagnation = 50;
+    options.threads = 1;
+    options.seed = 13;
+    options.scheduler.sessions_per_worker = 64;
+    options.checkpoint_dir = checkpoint_dir;
+    return core::MohecoOptimizer(problem, options).run();
+  };
+  const core::MohecoResult plain = run("");
+  TempDir dir;
+  const core::MohecoResult checkpointed = run(dir.path());
+  ASSERT_TRUE(core::load_checkpoint(dir.path()).has_value());
+
+  EXPECT_GT(plain.fail_breakdown.quarantine_open, 0);
+  EXPECT_EQ(checkpointed.fail_breakdown, plain.fail_breakdown);
+  EXPECT_EQ(checkpointed.sim_breakdown, plain.sim_breakdown);
+  EXPECT_EQ(checkpointed.best.x, plain.best.x);
+  EXPECT_EQ(checkpointed.best.fitness.yield, plain.best.fitness.yield);
+  EXPECT_EQ(checkpointed.best.samples, plain.best.samples);
+  EXPECT_EQ(checkpointed.generations, plain.generations);
+}
+
 TEST(Checkpoint, ResumeRejectsAMismatchedRunShape) {
   const mc::QuadraticYieldProblem problem(3, 6, 1.0, 0.8, 2.0);
   TempDir dir;

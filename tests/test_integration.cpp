@@ -7,6 +7,7 @@
 #include "src/circuits/circuit_yield.hpp"
 #include "src/core/moheco.hpp"
 #include "src/mc/candidate_yield.hpp"
+#include "src/mc/eval_scheduler.hpp"
 #include "src/mc/ocba.hpp"
 #include "src/mc/synthetic.hpp"
 
@@ -118,9 +119,10 @@ TEST(Integration, CircuitCandidateYieldAgreesWithReference) {
       circuits::make_five_transistor_ota());
   const std::vector<double> x = {60e-6, 40e-6, 20e-6, 0.7e-6, 0.85};
   ThreadPool pool(8);
+  mc::EvalScheduler scheduler(pool);
   mc::SimCounter sims;
   mc::CandidateYield tally(problem, x, 77);
-  tally.refine(4000, pool, sims, mc::McOptions{});
+  scheduler.refine(tally, 4000, sims, mc::McOptions{});
   const double reference = mc::reference_yield(problem, x, 8000, 78, pool);
   EXPECT_NEAR(tally.mean(), reference, 0.03);
 }

@@ -5,6 +5,7 @@
 
 #include "src/common/parallel.hpp"
 #include "src/mc/candidate_yield.hpp"
+#include "src/mc/eval_scheduler.hpp"
 #include "src/mc/ocba.hpp"
 #include "src/mc/synthetic.hpp"
 #include "src/stats/rng.hpp"
@@ -12,26 +13,6 @@
 
 namespace moheco::mc {
 namespace {
-
-TEST(Parallel, RunsEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](int, std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Parallel, PropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(10,
-                                 [&](int, std::size_t i) {
-                                   if (i == 5) throw InvalidArgument("boom");
-                                 }),
-               InvalidArgument);
-  // Pool must still be usable afterwards.
-  std::atomic<int> n{0};
-  pool.parallel_for(10, [&](int, std::size_t) { ++n; });
-  EXPECT_EQ(n.load(), 10);
-}
 
 TEST(Quadratic, TrueYieldMatchesMc) {
   const QuadraticYieldProblem problem(2, 8, 1.0, 0.5);
@@ -53,10 +34,13 @@ TEST(Quadratic, NominalScreen) {
 
 TEST(CandidateYield, ScreenCountsOneSim) {
   const QuadraticYieldProblem problem(2, 4, 1.0, 0.3);
+  ThreadPool pool(2);
+  EvalScheduler scheduler(pool);
   CandidateYield c(problem, {0.1, 0.1}, 1);
+  CandidateYield* const batch[] = {&c};
   SimCounter sims;
-  c.screen_nominal(sims);
-  c.screen_nominal(sims);  // cached
+  scheduler.screen(batch, sims);
+  scheduler.screen(batch, sims);  // already screened
   EXPECT_EQ(sims.total(), 1);
   EXPECT_TRUE(c.nominal_feasible());
 }
@@ -64,12 +48,13 @@ TEST(CandidateYield, ScreenCountsOneSim) {
 TEST(CandidateYield, RefineAccumulatesAndCounts) {
   const QuadraticYieldProblem problem(2, 4, 1.0, 0.5);
   ThreadPool pool(4);
+  EvalScheduler scheduler(pool);
   SimCounter sims;
   CandidateYield c(problem, {0.3, 0.3}, 7);
-  c.refine(100, pool, sims, McOptions{});
+  scheduler.refine(c, 100, sims, McOptions{});
   EXPECT_EQ(c.samples(), 100);
   EXPECT_EQ(sims.total(), 100);
-  c.refine(50, pool, sims, McOptions{});
+  scheduler.refine(c, 50, sims, McOptions{});
   EXPECT_EQ(c.samples(), 150);
   EXPECT_EQ(sims.total(), 150);
   EXPECT_GE(c.mean(), 0.0);
@@ -79,40 +64,35 @@ TEST(CandidateYield, RefineAccumulatesAndCounts) {
 TEST(CandidateYield, DeterministicAcrossThreadCounts) {
   const QuadraticYieldProblem problem(3, 6, 1.0, 0.4);
   const std::vector<double> x = {0.4, 0.3, 0.2};
-  long long passes1 = 0, passes4 = 0;
-  {
-    ThreadPool pool(1);
+  const auto passes = [&](int threads) {
+    ThreadPool pool(threads);
+    EvalScheduler scheduler(pool);
     SimCounter sims;
     CandidateYield c(problem, x, 99);
-    c.refine(500, pool, sims, McOptions{});
-    passes1 = c.passes();
-  }
-  {
-    ThreadPool pool(4);
-    SimCounter sims;
-    CandidateYield c(problem, x, 99);
-    c.refine(500, pool, sims, McOptions{});
-    passes4 = c.passes();
-  }
-  EXPECT_EQ(passes1, passes4);
+    scheduler.refine(c, 500, sims, McOptions{});
+    return c.passes();
+  };
+  EXPECT_EQ(passes(1), passes(4));
 }
 
 TEST(CandidateYield, EstimateConvergesToTruth) {
   const QuadraticYieldProblem problem(2, 10, 1.0, 0.5);
   const std::vector<double> x = {0.6, 0.3};
   ThreadPool pool(8);
+  EvalScheduler scheduler(pool);
   SimCounter sims;
   CandidateYield c(problem, x, 5);
-  c.refine(20000, pool, sims, McOptions{});
+  scheduler.refine(c, 20000, sims, McOptions{});
   EXPECT_NEAR(c.mean(), problem.true_yield(x), 0.015);
 }
 
 TEST(CandidateYield, SmoothedVarianceNeverZero) {
   const BernoulliArmsProblem problem({1.0});
   ThreadPool pool(2);
+  EvalScheduler scheduler(pool);
   SimCounter sims;
   CandidateYield c(problem, {0.0}, 3);
-  c.refine(200, pool, sims, McOptions{});
+  scheduler.refine(c, 200, sims, McOptions{});
   EXPECT_EQ(c.mean(), 1.0);  // arm with yield 1 always passes
   EXPECT_GT(c.smoothed_variance(), 0.0);
 }
@@ -168,18 +148,18 @@ TEST(Ocba, SingleCandidateTakesAll) {
 TEST(TwoStage, SpendsApproxSimAvgTimesN) {
   const QuadraticYieldProblem problem(2, 6, 1.0, 0.5);
   ThreadPool pool(4);
+  EvalScheduler scheduler(pool);
   SimCounter sims;
   std::vector<std::unique_ptr<CandidateYield>> owners;
   std::vector<CandidateYield*> cands;
-  stats::Rng rng(5);
   for (int i = 0; i < 10; ++i) {
     // Designs of varying quality, all nominally feasible.
     const double r = 0.08 * i;
     owners.push_back(std::make_unique<CandidateYield>(
         problem, std::vector<double>{r, 0.0}, 100 + i));
-    owners.back()->screen_nominal(sims);
     cands.push_back(owners.back().get());
   }
+  scheduler.screen(cands, sims);
   const long long screen_cost = sims.total();
   TwoStageOptions options;
   options.n0 = 15;
@@ -197,15 +177,16 @@ TEST(TwoStage, PromotesHighYieldCandidates) {
   // One arm at 100% yield, others low: the good one must reach n_max.
   const BernoulliArmsProblem problem({1.0, 0.3, 0.2, 0.1});
   ThreadPool pool(4);
+  EvalScheduler scheduler(pool);
   SimCounter sims;
   std::vector<std::unique_ptr<CandidateYield>> owners;
   std::vector<CandidateYield*> cands;
   for (int i = 0; i < 4; ++i) {
     owners.push_back(std::make_unique<CandidateYield>(
         problem, std::vector<double>{static_cast<double>(i)}, 10 + i));
-    owners.back()->screen_nominal(sims);
     cands.push_back(owners.back().get());
   }
+  scheduler.screen(cands, sims);
   TwoStageOptions options;
   options.n0 = 15;
   options.sim_avg = 35;
@@ -226,6 +207,7 @@ TEST(TwoStage, OcbaBeatsEqualAllocationOnSelection) {
   // make 1-D Bernoulli estimation nearly exact and hide the effect).
   const BernoulliArmsProblem problem({0.74, 0.78, 0.55, 0.40, 0.82});
   ThreadPool pool(4);
+  EvalScheduler scheduler(pool);
   const int kReps = 250;
   const long long budget = 250;
   McOptions pmc;
@@ -264,7 +246,7 @@ TEST(TwoStage, OcbaBeatsEqualAllocationOnSelection) {
       for (int i = 0; i < 5; ++i) {
         CandidateYield c(problem, std::vector<double>{static_cast<double>(i)},
                          stats::derive_seed(999, rep, i));
-        c.refine(budget / 5, pool, sims, pmc);
+        scheduler.refine(c, budget / 5, sims, pmc);
         if (c.mean() > best_mean) {
           best_mean = c.mean();
           best = static_cast<std::size_t>(i);

@@ -102,13 +102,16 @@ TEST(NetlistYieldProblem, IdenticalTalliesWithBuiltinProblem) {
   const std::vector<double> x = deck_problem.nominal_x();
 
   ThreadPool pool(4);
+  mc::EvalScheduler scheduler(pool);
   mc::SimCounter sims;
   mc::CandidateYield deck_tally(deck_problem, x, /*stream_seed=*/77);
   mc::CandidateYield builtin_tally(builtin, x, /*stream_seed=*/77);
-  EXPECT_EQ(deck_tally.screen_nominal(sims).pass,
-            builtin_tally.screen_nominal(sims).pass);
-  deck_tally.refine(400, pool, sims, {});
-  builtin_tally.refine(400, pool, sims, {});
+  mc::CandidateYield* const both[] = {&deck_tally, &builtin_tally};
+  scheduler.screen(both, sims);
+  EXPECT_EQ(deck_tally.nominal_feasible(), builtin_tally.nominal_feasible());
+  EXPECT_EQ(deck_tally.nominal_violation(), builtin_tally.nominal_violation());
+  scheduler.refine(deck_tally, 400, sims, {});
+  scheduler.refine(builtin_tally, 400, sims, {});
   EXPECT_EQ(deck_tally.samples(), builtin_tally.samples());
   EXPECT_EQ(deck_tally.passes(), builtin_tally.passes());
   // The committed nominal sits mid-yield on purpose, so this comparison

@@ -138,7 +138,9 @@ TEST(ObsHistogram, BucketEdges) {
   for (std::uint64_t v : {0ull, 1ull, 2ull, 1023ull, 1024ull, 1ull << 40}) {
     const int idx = Histogram::bucket_index(v);
     EXPECT_LE(v, Histogram::bucket_upper_bound(idx));
-    if (idx > 0) EXPECT_GT(v, Histogram::bucket_upper_bound(idx - 1));
+    if (idx > 0) {
+      EXPECT_GT(v, Histogram::bucket_upper_bound(idx - 1));
+    }
   }
 }
 

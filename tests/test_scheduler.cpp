@@ -1,7 +1,7 @@
 // Generation-wide EvalScheduler: scheduling determinism, equivalence with
-// the per-candidate refinement path, session-cache bounds, sticky affinity,
-// warm-start blob round-trips, pipelined generation overlap, and the
-// upgraded ThreadPool entry points.
+// the per-candidate refinement path, session-cache bounds, sticky affinity
+// accounting, warm-start blob round-trips, the pipelined optimizer loop
+// across thread counts, and the ThreadPool's sharded claiming.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,45 +22,7 @@
 namespace moheco::mc {
 namespace {
 
-// --- ThreadPool upgrades --------------------------------------------------
-
-TEST(Parallel, ChunkedClaimingRunsEveryIndexOnce) {
-  ThreadPool pool(4);
-  for (std::size_t grain : {std::size_t{1}, std::size_t{7}, std::size_t{64},
-                            std::size_t{5000}}) {
-    std::vector<std::atomic<int>> hits(1000);
-    pool.parallel_for(
-        1000, [&](int, std::size_t i) { ++hits[i]; }, grain);
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(Parallel, RunTasksRunsEveryTaskOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  std::vector<std::function<void(int)>> tasks;
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    tasks.push_back([&hits, i, &pool](int worker) {
-      EXPECT_GE(worker, 0);
-      EXPECT_LT(worker, pool.num_workers());
-      ++hits[i];
-    });
-  }
-  pool.run_tasks(tasks);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  pool.run_tasks({});  // empty set is a no-op
-}
-
-TEST(Parallel, RunTasksPropagatesExceptions) {
-  ThreadPool pool(2);
-  std::vector<std::function<void(int)>> tasks;
-  for (int i = 0; i < 10; ++i) {
-    tasks.push_back([i](int) {
-      if (i == 3) throw InvalidArgument("boom");
-    });
-  }
-  EXPECT_THROW(pool.run_tasks(tasks), InvalidArgument);
-}
+// --- ThreadPool sharded claiming ------------------------------------------
 
 TEST(Parallel, ShardedRunsEveryItemOnce) {
   ThreadPool pool(4);
@@ -111,8 +73,8 @@ TEST(Parallel, ShardedPropagatesExceptions) {
                InvalidArgument);
   // The pool survives for later dispatches.
   std::atomic<int> count{0};
-  pool.parallel_for(10, [&](int, std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 10);
+  pool.parallel_for_sharded(queues, [&](int, std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 20);
 }
 
 // --- Session-cache instrumentation ---------------------------------------
@@ -395,10 +357,8 @@ TEST(EvalScheduler, TwoStageBitIdenticalAcrossThreadCounts) {
       auto owners = problem == &quadratic ? make_pool(*problem, 10)
                                           : make_ota_pool(*problem, 10);
       std::vector<CandidateYield*> cands;
-      for (auto& c : owners) {
-        c->screen_nominal(sims);
-        cands.push_back(c.get());
-      }
+      for (auto& c : owners) cands.push_back(c.get());
+      scheduler.screen(cands, sims);
       promotions.push_back(
           two_stage_estimate(cands, options, scheduler, sims));
       snapshots.push_back(snapshot(owners));
@@ -411,10 +371,10 @@ TEST(EvalScheduler, TwoStageBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(EvalScheduler, TwoStageMatchesPerCandidatePath) {
-  // The batched scheduler must reproduce the pre-refactor per-candidate
-  // flow bit-for-bit: same seeds, same round structure, same tallies.  The
-  // reference below replays the old algorithm with one refine() (= one
-  // pool barrier) per candidate per round.
+  // The batched scheduler must reproduce the per-candidate flow
+  // bit-for-bit: same seeds, same round structure, same tallies.  The
+  // reference below replays the algorithm with one refine() (= one pool
+  // barrier) per candidate per round.
   const QuadraticYieldProblem problem(2, 6, 1.0, 0.5);
   const TwoStageOptions options = determinism_options();
   ThreadPool pool(4);
@@ -426,23 +386,20 @@ TEST(EvalScheduler, TwoStageMatchesPerCandidatePath) {
     EvalScheduler scheduler(pool);
     SimCounter sims;
     std::vector<CandidateYield*> cands;
-    for (auto& c : batched_owners) {
-      c->screen_nominal(sims);
-      cands.push_back(c.get());
-    }
+    for (auto& c : batched_owners) cands.push_back(c.get());
+    scheduler.screen(cands, sims);
     batched_promoted = two_stage_estimate(cands, options, scheduler, sims);
   }
 
-  // --- per-candidate reference (the pre-refactor loop) ---
+  // --- per-candidate reference ---
   auto reference_owners = make_pool(problem, 10);
   std::vector<std::size_t> reference_promoted;
   {
+    EvalScheduler scheduler(pool);
     SimCounter sims;
     std::vector<CandidateYield*> cands;
-    for (auto& c : reference_owners) {
-      c->screen_nominal(sims);
-      cands.push_back(c.get());
-    }
+    for (auto& c : reference_owners) cands.push_back(c.get());
+    scheduler.screen(cands, sims);
     const std::size_t s = cands.size();
     long long initial_total = 0;
     long long num_new = 0;
@@ -452,7 +409,7 @@ TEST(EvalScheduler, TwoStageMatchesPerCandidatePath) {
     }
     for (CandidateYield* c : cands) {
       if (c->samples() < options.n0) {
-        c->refine(options.n0 - c->samples(), pool, sims, options.mc);
+        scheduler.refine(*c, options.n0 - c->samples(), sims, options.mc);
       }
     }
     const long long total_budget =
@@ -478,7 +435,7 @@ TEST(EvalScheduler, TwoStageMatchesPerCandidatePath) {
                                     cands[i]->samples());
         extra = std::min(extra, allowance);
         if (extra > 0) {
-          cands[i]->refine(extra, pool, sims, options.mc);
+          scheduler.refine(*cands[i], extra, sims, options.mc);
           added += extra;
           allowance -= extra;
         }
@@ -488,7 +445,7 @@ TEST(EvalScheduler, TwoStageMatchesPerCandidatePath) {
     for (std::size_t i = 0; i < s; ++i) {
       if (cands[i]->mean() > options.stage2_threshold &&
           cands[i]->samples() < options.n_max) {
-        cands[i]->refine(options.n_max - cands[i]->samples(), pool, sims,
+        scheduler.refine(*cands[i], options.n_max - cands[i]->samples(), sims,
                          options.mc);
         reference_promoted.push_back(i);
       } else if (cands[i]->samples() >= options.n_max) {
@@ -501,139 +458,47 @@ TEST(EvalScheduler, TwoStageMatchesPerCandidatePath) {
   EXPECT_EQ(batched_promoted, reference_promoted);
 }
 
-TEST(EvalScheduler, ChunkSizeDoesNotAffectTallies) {
-  const QuadraticYieldProblem problem(2, 6, 1.0, 0.5);
-  ThreadPool pool(4);
-  TallySnapshot reference;
-  for (std::size_t chunk : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                            std::size_t{1000}}) {
-    SchedulerOptions options;
-    options.chunk = chunk;
-    EvalScheduler scheduler(pool, options);
-    SimCounter sims;
-    auto owners = make_pool(problem, 6);
-    for (auto& c : owners) scheduler.enqueue(*c, 101, McOptions{});
-    scheduler.flush(sims);
-    const TallySnapshot s = snapshot(owners);
-    if (reference.samples.empty()) {
-      reference = s;
-    } else {
-      EXPECT_EQ(s, reference) << "chunk " << chunk;
-    }
-  }
-}
-
 // --- Sticky affinity ------------------------------------------------------
 
-inline void keep(double& value) { asm volatile("" : "+m"(value)); }
-
-/// CountingProblem with tunable open/evaluate cost, so scheduling tests see
-/// realistic (non-degenerate) timing.
-class SpinCountProblem final : public YieldProblem {
- public:
-  SpinCountProblem(int open_spin, int eval_spin)
-      : open_spin_(open_spin), eval_spin_(eval_spin) {}
-
-  std::size_t num_design_vars() const override { return 1; }
-  double lower_bound(std::size_t) const override { return -2.0; }
-  double upper_bound(std::size_t) const override { return 2.0; }
-  std::size_t noise_dim() const override { return 2; }
-
-  class SpinSession final : public Session {
-   public:
-    SpinSession(double margin, int spin) : margin_(margin), spin_(spin) {}
-    SampleResult evaluate(std::span<const double> xi) override {
-      double acc = margin_;
-      for (int k = 0; k < spin_; ++k) acc += acc * 1e-12 + 1e-9;
-      keep(acc);
-      SampleResult r;
-      r.pass = xi.empty() ||
-               margin_ + 0.5 * (xi[0] + xi[1]) >= 0.0;
-      return r;
-    }
-
-   private:
-    double margin_;
-    int spin_;
-  };
-
-  std::unique_ptr<Session> open(std::span<const double> x) const override {
-    opens_.fetch_add(1, std::memory_order_relaxed);
-    double acc = x[0];
-    for (int k = 0; k < open_spin_; ++k) acc += acc * 1e-12 + 1e-9;
-    keep(acc);
-    return std::make_unique<SpinSession>(1.0 - x[0] * x[0], eval_spin_);
-  }
-
-  long long opens() const { return opens_.load(); }
-
- private:
-  int open_spin_;
-  int eval_spin_;
-  mutable std::atomic<long long> opens_{0};
-};
-
-TEST(EvalScheduler, StickyAffinityCutsSessionChurnAndKeepsTallies) {
+TEST(EvalScheduler, AffinityEventsReachTheRegistry) {
+  // Every task runs either on its candidate's preferred worker or as a
+  // steal, and each flush adds its scheduler events to the sched.*
+  // registry counters.
   const int kWorkers = 4;
   const int kCandidates = 16;
   const int kRounds = 10;
   const int kPerRound = 8;
-  auto run = [&](bool sticky) {
-    SpinCountProblem problem(/*open_spin=*/20000, /*eval_spin=*/300);
-    ThreadPool pool(kWorkers);
-    SchedulerOptions options;
-    options.sessions_per_worker = 4;  // = candidates per worker when sticky
-    options.sticky = sticky;
-    options.warm_start_blobs = 0;
-    EvalScheduler scheduler(pool, options);
-    SimCounter sims;
-    std::vector<std::unique_ptr<CandidateYield>> owners;
-    for (int i = 0; i < kCandidates; ++i) {
-      owners.push_back(std::make_unique<CandidateYield>(
-          problem, std::vector<double>{0.1 * i - 0.8},
-          stats::derive_seed(31, static_cast<std::uint64_t>(i))));
-    }
-    const SchedCounts before = SchedCounts::read();
-    for (int round = 0; round < kRounds; ++round) {
-      for (auto& c : owners) scheduler.enqueue(*c, kPerRound, McOptions{});
-      scheduler.flush(sims);
-    }
-    struct Out {
-      long long opens;
-      long long session_hits;
-      long long affinity_hits;
-      long long steals;
-      long long migrations;
-      TallySnapshot tallies;
-      SchedCounts sched;
-    };
-    return Out{problem.opens(), scheduler.session_hits(),
-               scheduler.affinity_hits(), scheduler.steals(),
-               scheduler.migrations(), snapshot(owners),
-               SchedCounts::read() - before};
-  };
+  const CountingProblem problem;
+  ThreadPool pool(kWorkers);
+  SchedulerOptions options;
+  options.sessions_per_worker = 4;  // = candidates per worker
+  options.warm_start_blobs = 0;
+  EvalScheduler scheduler(pool, options);
+  SimCounter sims;
+  std::vector<std::unique_ptr<CandidateYield>> owners;
+  for (int i = 0; i < kCandidates; ++i) {
+    owners.push_back(std::make_unique<CandidateYield>(
+        problem, std::vector<double>{0.1 * i - 0.8},
+        stats::derive_seed(31, static_cast<std::uint64_t>(i))));
+  }
+  const SchedCounts before = SchedCounts::read();
+  for (int round = 0; round < kRounds; ++round) {
+    for (auto& c : owners) scheduler.enqueue(*c, kPerRound, McOptions{});
+    scheduler.flush(sims);
+  }
+  const SchedCounts sched = SchedCounts::read() - before;
 
-  const auto sticky = run(true);
-  const auto contiguous = run(false);
-
-  // Tallies never depend on the claiming policy.
-  EXPECT_EQ(sticky.tallies, contiguous.tallies);
-  // Every chunk was either an affinity hit or a steal, and the sched.*
-  // registry counters saw the same events the scheduler counted.
-  EXPECT_GT(sticky.affinity_hits, 0);
-  EXPECT_EQ(sticky.session_hits, sticky.sched.session_hits);
-  EXPECT_EQ(sticky.affinity_hits, sticky.sched.affinity_hits);
-  EXPECT_EQ(sticky.steals, sticky.sched.steals);
-  EXPECT_EQ(sticky.migrations, sticky.sched.migrations);
-  EXPECT_EQ(sticky.opens,
-            sticky.sched.cold_opens + sticky.sched.warm_opens);
-  // Sticky claiming keeps each candidate's session on (essentially) one
-  // worker: with candidates/worker == cache capacity it stops the LRU
-  // thrash that contiguous claiming causes.  On a loaded or single-core
-  // host the OS serializes the workers and stealing makes both modes
-  // thrash alike, so the assertion only forbids sticky claiming from being
-  // systematically WORSE; bench_micro_warmpath gates the actual reduction.
-  EXPECT_LE(sticky.opens, contiguous.opens + kCandidates);
+  // A flush of 16 x 8 samples on 4 workers chunks at 128 / 16 = 8 rows, so
+  // each candidate's batch is one task.
+  EXPECT_GT(scheduler.affinity_hits(), 0);
+  EXPECT_EQ(scheduler.affinity_hits() + scheduler.steals(),
+            kRounds * kCandidates);
+  EXPECT_EQ(scheduler.session_hits(), sched.session_hits);
+  EXPECT_EQ(scheduler.affinity_hits(), sched.affinity_hits);
+  EXPECT_EQ(scheduler.steals(), sched.steals);
+  EXPECT_EQ(scheduler.migrations(), sched.migrations);
+  EXPECT_EQ(problem.opens(), sched.cold_opens + sched.warm_opens);
+  EXPECT_EQ(sims.total(), 1LL * kRounds * kCandidates * kPerRound);
 }
 
 // --- Warm-start blob round-trips ------------------------------------------
@@ -795,7 +660,9 @@ TEST(EvalScheduler, ExportBlobsFromAnotherThreadDuringFlush) {
           const ResultMap snap = scheduler.export_blobs();
           for (const auto& [key, blob] : snap) {
             EXPECT_EQ(blob.size(), 3u) << "torn blob under key " << key;
-            if (blob.size() == 3) EXPECT_EQ(blob[0], 1.0);
+            if (blob.size() == 3) {
+              EXPECT_EQ(blob[0], 1.0);
+            }
           }
           snapshots.fetch_add(1, std::memory_order_relaxed);
         }
@@ -807,7 +674,9 @@ TEST(EvalScheduler, ExportBlobsFromAnotherThreadDuringFlush) {
     }
     done.store(true);
     if (exporter.joinable()) exporter.join();
-    if (concurrent_export) EXPECT_GT(snapshots.load(), 0);
+    if (concurrent_export) {
+      EXPECT_GT(snapshots.load(), 0);
+    }
     return snapshot(owners);
   };
 
@@ -950,7 +819,7 @@ TEST(ReferenceYield, SchedulerOverloadMatchesPoolOverload) {
   EXPECT_GT(scheduler.session_hits(), 0);
 }
 
-// --- Pipelined generation overlap ------------------------------------------
+// --- Pipelined optimizer loop -----------------------------------------------
 
 struct OptimizerFingerprint {
   std::vector<double> best_x;
@@ -961,15 +830,13 @@ struct OptimizerFingerprint {
   bool operator==(const OptimizerFingerprint&) const = default;
 };
 
-OptimizerFingerprint run_optimizer(bool overlap, int threads,
-                                   std::uint64_t seed) {
+OptimizerFingerprint run_optimizer(int threads, std::uint64_t seed) {
   const QuadraticYieldProblem problem(2, 4, 1.0, 0.4);
   core::MohecoOptions options;
   options.population = 10;
   options.estimation.n0 = 10;
   options.estimation.sim_avg = 20;
   options.estimation.n_max = 80;
-  options.overlap_generations = overlap;
   options.threads = threads;
   options.seed = seed;
   const core::MohecoResult result =
@@ -985,21 +852,16 @@ OptimizerFingerprint run_optimizer(bool overlap, int threads,
   return fp;
 }
 
-TEST(MohecoPipeline, OverlapMatchesSerialPathAcrossThreadCounts) {
+TEST(MohecoPipeline, BitIdenticalAcrossThreadCounts) {
   // The pipelined loop (stage-2 of generation g merged with the screens of
-  // g+1) must reproduce the serial per-generation flush path bit-for-bit:
-  // identical best vector, budget split, and per-generation sim trace, for
-  // every thread count.
-  const OptimizerFingerprint reference = run_optimizer(false, 1, 7);
+  // g+1) gives the same best vector, budget split and per-generation sim
+  // trace at every thread count.
+  const OptimizerFingerprint reference = run_optimizer(1, 7);
   EXPECT_GT(reference.stage2, 0);  // the workload must actually promote
   int hardware = static_cast<int>(std::thread::hardware_concurrency());
   if (hardware < 2) hardware = 2;
-  for (int threads : {1, 2, hardware}) {
-    for (bool overlap : {false, true}) {
-      const OptimizerFingerprint fp = run_optimizer(overlap, threads, 7);
-      EXPECT_EQ(fp, reference)
-          << "overlap=" << overlap << " threads=" << threads;
-    }
+  for (int threads : {2, hardware}) {
+    EXPECT_EQ(run_optimizer(threads, 7), reference) << "threads=" << threads;
   }
 }
 
@@ -1013,10 +875,8 @@ TEST(SimCounter, TwoStagePhaseBreakdown) {
   SimCounter sims;
   auto owners = make_pool(problem, 10);
   std::vector<CandidateYield*> cands;
-  for (auto& c : owners) {
-    c->screen_nominal(sims);
-    cands.push_back(c.get());
-  }
+  for (auto& c : owners) cands.push_back(c.get());
+  scheduler.screen(cands, sims);
   two_stage_estimate(cands, options, scheduler, sims);
 
   const SimBreakdown b = sims.breakdown();

@@ -3,8 +3,9 @@
 // fingerprints), and a live in-process Daemon + ServeClient over a
 // Unix-domain socket / loopback TCP: the CLI-vs-daemon byte-identity gate,
 // result-cache hits (in memory and across a restart), warm-blob near
-// misses, bounded admission, queued/running cancellation, per-client
-// round-robin fairness, and the shutdown op.
+// misses, finished jobs' checkpoint cleanup, bounded admission,
+// queued/running cancellation, per-client round-robin fairness, and the
+// shutdown op.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -196,7 +198,6 @@ TEST(Protocol, SubmitCodecRoundTrips) {
   spec.moheco.use_ocba = false;
   spec.moheco.fixed_budget = 77;
   spec.moheco.use_memetic = false;
-  spec.moheco.overlap_generations = false;
   spec.moheco.estimation.mc.sampling = stats::SamplingMethod::kPMC;
   spec.eval.transient = true;
   spec.want_sized_deck = true;
@@ -220,7 +221,6 @@ TEST(Protocol, SubmitCodecRoundTrips) {
   EXPECT_FALSE(decoded.moheco.use_ocba);
   EXPECT_EQ(decoded.moheco.fixed_budget, 77);
   EXPECT_FALSE(decoded.moheco.use_memetic);
-  EXPECT_FALSE(decoded.moheco.overlap_generations);
   EXPECT_EQ(decoded.moheco.estimation.mc.sampling,
             stats::SamplingMethod::kPMC);
   EXPECT_TRUE(decoded.eval.transient);
@@ -230,13 +230,10 @@ TEST(Protocol, SubmitCodecRoundTrips) {
   EXPECT_EQ(warm_cache_key(decoded), warm_cache_key(spec));
 }
 
-TEST(Protocol, LegacyBackendOptionIsAcceptedAndIgnored) {
-  // "backend" selected a linear-solve path and "batch" a sample-batch width,
-  // neither of which exists any more: old clients still decode, to exactly
-  // the job a submit without the key runs.
-  const std::string prefix =
-      "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
-      "\"options\":{\"seed\":5";
+TEST(Protocol, LegacyOptionsAreAcceptedAndIgnored) {
+  // "batch" selected a sample-batch width and "overlap" switched generation
+  // pipelining off, neither of which exists any more: old clients still
+  // decode, to exactly the job a submit without the key runs.
   const auto decode = [](const std::string& line) {
     const std::optional<JsonValue> parsed = parse_json(line);
     EXPECT_TRUE(parsed.has_value()) << line;
@@ -246,25 +243,37 @@ TEST(Protocol, LegacyBackendOptionIsAcceptedAndIgnored) {
     EXPECT_TRUE(decode_submit(*parsed, &spec, &tag, &error)) << error;
     return spec;
   };
-  const JobSpec plain = decode(prefix + "}}");
-  for (const char* legacy_key : {",\"backend\":\"dense\"", ",\"batch\":8"}) {
-    const JobSpec legacy = decode(prefix + legacy_key + "}}");
-    EXPECT_EQ(result_fingerprint(legacy, 2), result_fingerprint(plain, 2))
-        << legacy_key;
-    EXPECT_EQ(warm_cache_key(legacy), warm_cache_key(plain)) << legacy_key;
+  for (const std::string mode : {"estimate", "optimize"}) {
+    const std::string head = "{\"op\":\"submit\",\"mode\":\"" + mode +
+                             "\",\"deck\":\"x\",\"options\":{\"seed\":5";
+    const JobSpec plain = decode(head + "}}");
+    for (const char* legacy_key : {",\"batch\":8", ",\"overlap\":false"}) {
+      const JobSpec legacy = decode(head + legacy_key + "}}");
+      EXPECT_EQ(result_fingerprint(legacy, 2), result_fingerprint(plain, 2))
+          << mode << legacy_key;
+      EXPECT_EQ(warm_cache_key(legacy), warm_cache_key(plain))
+          << mode << legacy_key;
+    }
+    // The codec no longer emits either key.
+    EXPECT_EQ(encode_submit(plain, "").find("batch"), std::string::npos);
+    EXPECT_EQ(encode_submit(plain, "").find("overlap"), std::string::npos);
   }
-  // The codec no longer emits either key.
-  EXPECT_EQ(encode_submit(plain, "").find("backend"), std::string::npos);
-  EXPECT_EQ(encode_submit(plain, "").find("batch"), std::string::npos);
-  // A width the old validator refused is still a bad request.
-  const std::optional<JsonValue> wide =
-      parse_json(prefix + ",\"batch\":65}}");
-  ASSERT_TRUE(wide.has_value());
-  JobSpec spec;
-  std::string tag;
-  std::string error;
-  EXPECT_FALSE(decode_submit(*wide, &spec, &tag, &error));
-  EXPECT_NE(error.find("options.batch"), std::string::npos) << error;
+  // Values the old validators refused are still bad requests.
+  const std::string prefix =
+      "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
+      "\"options\":{\"seed\":5";
+  const std::pair<const char*, const char*> bad_values[] = {
+      {",\"batch\":65", "options.batch"},
+      {",\"overlap\":1", "options.overlap"}};
+  for (const auto& [bad, key] : bad_values) {
+    const std::optional<JsonValue> parsed = parse_json(prefix + bad + "}}");
+    ASSERT_TRUE(parsed.has_value());
+    JobSpec spec;
+    std::string tag;
+    std::string error;
+    EXPECT_FALSE(decode_submit(*parsed, &spec, &tag, &error)) << bad;
+    EXPECT_NE(error.find(key), std::string::npos) << error;
+  }
 }
 
 TEST(Protocol, SubmitDecodeIsStrict) {
@@ -298,9 +307,16 @@ TEST(Protocol, SubmitDecodeIsStrict) {
   fails(
       "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
       "\"options\":{\"sampling\":\"sobol\"}}");
+  // "backend" is retired: every value, the once-valid ones included, is an
+  // unknown key now.
   fails(
       "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
       "\"options\":{\"backend\":\"gpu\"}}");
+  fails(
+      "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
+      "\"options\":{\"backend\":\"dense\"}}");
+  EXPECT_NE(error.find("unknown option 'backend'"), std::string::npos)
+      << error;
   fails(
       "{\"op\":\"submit\",\"mode\":\"optimize\",\"deck\":\"x\","
       "\"options\":{\"population\":2}}");
@@ -432,6 +448,34 @@ TEST(Daemon, ResultAndWarmCachesSurviveARestart) {
   const JsonValue stats = client.request(encode_op("stats"));
   EXPECT_EQ(stats["result_hits"].as_int(), 1);
   EXPECT_EQ(stats["warm_hit_jobs"].as_int(), 1);
+}
+
+TEST(Daemon, FinishedOptimizeJobRemovesItsCheckpointDirectory) {
+  const std::string deck = read_file(example_deck_path());
+  TempDir dir;
+  DaemonOptions options;
+  options.socket_path = dir.file("d.sock");
+  options.threads = 1;
+  options.checkpoint_dir = dir.file("checkpoints");
+  Daemon daemon(options);
+  daemon.start();
+  JobSpec spec;
+  spec.deck_name = "five_t_ota.cir";
+  spec.deck_text = deck;
+  spec.mode = JobMode::kOptimize;
+  spec.moheco.seed = 3;
+  spec.moheco.population = 6;
+  spec.moheco.max_generations = 2;
+  ServeClient client;
+  client.connect(options.socket_path);
+  client.send(encode_submit(spec, ""));
+  const JsonValue done = read_terminal(client);
+  ASSERT_TRUE(done["ok"].as_bool());
+  EXPECT_EQ(done["state"].as_string(), "done");
+  // The job checkpointed under its own DIR/<deck>_<fingerprint>/, which
+  // went away with the stored result; the root stays.
+  EXPECT_TRUE(std::filesystem::is_directory(options.checkpoint_dir));
+  EXPECT_TRUE(std::filesystem::is_empty(options.checkpoint_dir));
 }
 
 TEST(Daemon, BoundedAdmissionRejectsExplicitly) {
