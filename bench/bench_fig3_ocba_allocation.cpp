@@ -21,8 +21,9 @@ int main(int argc, char** argv) {
   core::MohecoOptions moheco_options = bench::base_options(options);
   moheco_options.seed = options.seed;
   moheco_options.use_memetic = false;
+  moheco_options.max_generations = 30;
   core::MohecoOptimizer optimizer(problem, moheco_options);
-  const core::MohecoResult result = optimizer.run_generations(30);
+  const core::MohecoResult result = optimizer.run();
 
   // Pick the generation with the most estimated candidates ("typical").
   const core::GenerationTrace* typical = nullptr;

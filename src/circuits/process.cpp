@@ -17,7 +17,13 @@ std::string ProcessModel::variable_name(int i) const {
   require(i >= 0 && i < dim(), "ProcessModel::variable_name: out of range");
   if (i < intra_dim()) {
     static const char* kParam[] = {"VTH0", "TOX", "LD", "WD"};
-    return "M" + std::to_string(i / 4 + 1) + "." + kParam[i % 4];
+    // Appended: gcc 12 at -O3 reports a false -Wrestrict on a literal +
+    // std::string rvalue.
+    std::string name = "M";
+    name += std::to_string(i / 4 + 1);
+    name += '.';
+    name += kParam[i % 4];
+    return name;
   }
   return tech_->inter_die[static_cast<std::size_t>(i - intra_dim())].name;
 }

@@ -45,7 +45,14 @@ class JsonObject {
   void add_raw(const std::string& key, const std::string& body) {
     field(key) << body;
   }
-  std::string str() const { return "{" + body_.str() + "}"; }
+  std::string str() const {
+    // Appended, not "{" + temporary: gcc 12 at -O3 reports a false
+    // -Wrestrict on a literal + std::string rvalue.
+    std::string out(1, '{');
+    out += body_.str();
+    out += '}';
+    return out;
+  }
 
  private:
   std::ostringstream& field(const std::string& key) {

@@ -38,10 +38,13 @@
 
 namespace moheco::core {
 
-/// On-disk checkpoint format version; bumped on layout changes.  A loader
-/// seeing any other version throws instead of guessing (compatibility is
-/// "re-run from scratch", never silent misparse).
-inline constexpr int kCheckpointVersion = 2;
+/// On-disk checkpoint format version; bumped on layout changes and when
+/// the saved state's meaning changes (version 2 stored member fitnesses
+/// with stage-2 samples already folded in, which resumed onto a different
+/// trajectory).  A loader seeing any other version throws instead of
+/// guessing (compatibility is "re-run from scratch", never silent
+/// misparse).
+inline constexpr int kCheckpointVersion = 3;
 
 struct Checkpoint {
   // --- identity: validated against the resuming run's options ---

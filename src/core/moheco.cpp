@@ -79,9 +79,7 @@ std::vector<MohecoOptimizer::Evaluated> MohecoOptimizer::evaluate_batch(
 
   // Acceptance-sampling screen: nominal feasibility of the whole generation
   // as one batched job set on the scheduler (sessions opened here stay
-  // cached for the estimation below).  The previous generation's deferred
-  // stage-2 batches, if any, run in the same job set and land in the
-  // tallies before this generation's OCBA pool reads them.
+  // cached for the estimation below).
   std::vector<mc::CandidateYield*> screen_batch;
   screen_batch.reserve(count);
   for (auto& c : candidates) screen_batch.push_back(c.get());
@@ -90,7 +88,7 @@ std::vector<MohecoOptimizer::Evaluated> MohecoOptimizer::evaluate_batch(
     scheduler_->screen(screen_batch, sims_);
   }
 
-  // The deferred stage-2 samples just landed; refresh the surviving
+  // Fold the previous call's stage-2 samples into the surviving
   // population's fitness before the new OCBA pool is assembled.
   refresh_population_fitness();
 
@@ -108,22 +106,15 @@ std::vector<MohecoOptimizer::Evaluated> MohecoOptimizer::evaluate_batch(
     for (Member& m : population_) {
       if (m.tally && !m.tally->failed()) ocba_pool.push_back(m.tally.get());
     }
-    // Stage-2 batches stay pending (streams already consumed) and run
-    // merged with the next generation's screens.
+    // Stage-2 batches stay pending (streams already consumed) until the
+    // stage-1/OCBA estimates below are recorded: Deb selection compares
+    // those, and the stage-2 samples reach fitness at the next call's
+    // refresh.
     mc::two_stage_estimate(ocba_pool, options_.estimation, *scheduler_, sims_,
                            /*flush_stage2=*/false);
-    // A candidate with a pending stage-2 batch can lose the upcoming Deb
-    // selection (or a parent can be replaced) and be dropped before the
-    // deferred flush runs; the scheduler keeps them alive until then.
-    for (const auto& c : candidates) scheduler_->retain(c);
-    for (Member& m : population_) {
-      if (m.tally) scheduler_->retain(m.tally);
-    }
-    // Refresh population fitness after the stage-1/OCBA refinement.
     refresh_population_fitness();
   } else {
-    // Fixed-budget baseline: still one generation-wide job set (no stage 2,
-    // so nothing to defer).
+    // Fixed-budget baseline: one generation-wide job set, no stage 2.
     for (mc::CandidateYield* c : ocba_pool) {
       scheduler_->enqueue(*c, options_.fixed_budget - c->samples(),
                          options_.estimation.mc);
@@ -160,6 +151,8 @@ std::vector<MohecoOptimizer::Evaluated> MohecoOptimizer::evaluate_batch(
       trace->estimated.emplace_back(c->mean(), c->samples());
     }
   }
+  // Land the stage-2 promotions: no work stays pending past this call.
+  scheduler_->flush(sims_);
   return out;
 }
 
@@ -230,22 +223,24 @@ void MohecoOptimizer::local_search(Member& best, GenerationTrace* trace) {
 }
 
 MohecoResult MohecoOptimizer::run() {
-  return run_impl(options_.max_generations);
+  try {
+    return run_impl();
+  } catch (...) {
+    // A throw between an enqueue and its flush leaves jobs that point at
+    // this run's candidates; drop them so the scheduler, which a serving
+    // daemon shares across jobs, is clean for its next user.
+    scheduler_->discard_pending();
+    throw;
+  }
 }
 
-MohecoResult MohecoOptimizer::run_generations(int generations) {
-  return run_impl(generations);
-}
-
-MohecoResult MohecoOptimizer::run_impl(int max_generations) {
+MohecoResult MohecoOptimizer::run_impl() {
+  const int max_generations = options_.max_generations;
   obs::Span run_span("moheco.run", max_generations);
   static obs::Counter& c_runs = obs::registry().counter("moheco.runs");
   c_runs.add(1);
   MohecoResult result;
   sims_.reset();
-  // A previous run that threw mid-generation can leave deferred stage-2
-  // jobs (and their keep-alives) on the scheduler; drop them untallied.
-  scheduler_->discard_pending();
   population_.clear();
   stream_counter_ = 0;
   last_local_search_x_.clear();
@@ -309,9 +304,8 @@ MohecoResult MohecoOptimizer::run_impl(int max_generations) {
   }
 
   for (int gen = start_gen; !loop_done && gen <= max_generations; ++gen) {
-    // Cooperative cancellation: polled at the generation boundary, i.e.
-    // right after the previous generation's flush points.  The deferred
-    // stage-2 batches are drained below (outside the loop) either way.
+    // Cooperative cancellation: polled at the generation boundary, where
+    // no evaluation work is pending.
     if (options_.should_stop && options_.should_stop()) {
       result.cancelled = true;
       break;
@@ -380,16 +374,17 @@ MohecoResult MohecoOptimizer::run_impl(int max_generations) {
       stagnant_ls = 0;
     }
 
-    // A best member at 100% may have its stage-2 promotion still pending
-    // (deferred into the next generation's job set); drain it now -- flush
-    // boundaries never change tallies -- so a run that genuinely reached
-    // full yield at n_report stops here instead of paying one more
-    // generation of screens and pilots before noticing.
+    // A best member at 100% on its stage-1 samples may have been promoted
+    // to n_report this generation; fold its stage-2 samples in now, so a
+    // run that genuinely reached full yield stops here instead of paying
+    // one more generation of screens and pilots before noticing.  Skipped
+    // in a generation that ran a local search: the fold decides which DE
+    // base vector the next generation picks, so folding there as well
+    // would change the trajectory of every run it fires in.
     {
       const Member& maybe = population_[best_index()];
       if (maybe.fitness.feasible && maybe.fitness.yield >= 1.0 &&
-          maybe.samples < n_report && scheduler_->has_pending()) {
-        scheduler_->flush(sims_);
+          maybe.samples < n_report && !trace.local_search_triggered) {
         refresh_population_fitness();
       }
     }
@@ -411,12 +406,9 @@ MohecoResult MohecoOptimizer::run_impl(int max_generations) {
     const bool stop = full_yield ||
                       stagnant_stop >= options_.stop_stagnation ||
                       gen == max_generations;
-    // Checkpoint boundary: drain the deferred stage-2 batches (they would
-    // otherwise land merged with the next generation's screens -- flush
-    // boundaries never change tallies, so the estimates are identical) and
-    // persist the complete state.  Written after the stopping decision, so
-    // a kill at ANY instant resumes either from this generation or the
-    // previous one.
+    // Checkpoint boundary: persist the complete state.  Written after the
+    // stopping decision, so a kill at ANY instant resumes either from this
+    // generation or the previous one.
     if (checkpointing) {
       write_checkpoint(gen, stop, result, best_scalar, stagnant_ls,
                        stagnant_stop);
@@ -424,9 +416,8 @@ MohecoResult MohecoOptimizer::run_impl(int max_generations) {
     if (stop) break;
   }
 
-  // Drain the last generation's deferred stage-2 batches and fold them into
-  // the population fitnesses before picking the reported best.
-  scheduler_->flush(sims_);
+  // Fold the last generation's stage-2 samples into the population
+  // fitnesses before picking the reported best.
   refresh_population_fitness();
 
   // Report the best member with an accurate (n_report) estimate; its tally
@@ -459,13 +450,6 @@ void MohecoOptimizer::write_checkpoint(int generation, bool done,
                                        const MohecoResult& result,
                                        double best_scalar, int stagnant_ls,
                                        int stagnant_stop) {
-  // Land the deferred stage-2 batches first: a checkpoint must capture
-  // tallies, not in-flight jobs (stream positions are already consumed, so
-  // dropping pending work would lose samples forever).  Flush boundaries
-  // never change tallies.
-  scheduler_->flush(sims_);
-  refresh_population_fitness();
-
   Checkpoint ck;
   ck.seed = options_.seed;
   ck.dim = bounds_.lo.size();
@@ -505,8 +489,8 @@ void MohecoOptimizer::write_checkpoint(int generation, bool done,
     }
     ck.members.push_back(std::move(ms));
   }
-  // Snapshot AFTER the flush: live sessions park into the blob store but
-  // stay cached, so this run continues exactly as an uncheckpointed one.
+  // Live sessions park into the blob store but stay cached, so this run
+  // continues exactly as an uncheckpointed one.
   // A resumed run re-imports the blobs; its cache decisions differ, which
   // reaches no result while fail points are disarmed.
   ck.blobs = scheduler_->export_blobs();

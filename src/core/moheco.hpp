@@ -18,16 +18,15 @@
 //   the best member after 5 stagnant generations -> stop at 100% reported
 //   yield or 20 stagnant generations.
 //
-// Scheduling: the loop is pipelined across generations.  Stage-2 promotion
-// batches of generation g are enqueued when promotion is decided (from the
-// stage-1 tallies, streams consumed) but evaluated together with
-// generation g+1's nominal screens as one job set on the EvalScheduler,
-// whose sticky candidate->worker affinity and warm-start blob store keep
-// hot candidates' evaluator sessions warm across rounds and generations.
-// Stage-2 samples land in the tallies before generation g+1's OCBA pool
-// reads them, and flush boundaries never change tallies, so the result is
-// the same as draining each generation's stage-2 batches on their own.
-// See src/mc/eval_scheduler.hpp.
+// Scheduling: each phase of a generation (screens, stage-1 pilots, every
+// OCBA round, stage-2 promotion) runs as one job set on the run's
+// EvalScheduler, whose sticky candidate->worker affinity and warm-start
+// blob store keep hot candidates' evaluator sessions warm across rounds
+// and generations (see src/mc/eval_scheduler.hpp).  A generation's stage-2
+// batches land before it ends, so no work is pending between generations;
+// Deb selection compares the stage-1/OCBA estimates, and the stage-2
+// samples reach the members' fitness when the next generation's OCBA pool
+// is assembled.
 #pragma once
 
 #include <cstdint>
@@ -83,13 +82,12 @@ struct MohecoOptions {
   /// points disarmed).  A missing checkpoint starts fresh; a
   /// checkpoint from a different problem/options shape throws.
   bool resume = false;
-  /// Cooperative cancellation hook, polled at generation boundaries (after
-  /// every flush point, before the next generation's work is enqueued).
-  /// When it returns true the run stops early: pending deferred batches are
-  /// drained (the scheduler stays consistent), the current best is reported
-  /// without the final accurate refinement, and MohecoResult::cancelled is
-  /// set.  Null (the default) never cancels.  The serving daemon points
-  /// this at the job's cancel flag.
+  /// Cooperative cancellation hook, polled at generation boundaries (no
+  /// evaluation work is pending there).  When it returns true the run
+  /// stops early: the current best is reported without the final accurate
+  /// refinement, and MohecoResult::cancelled is set.  Null (the default)
+  /// never cancels.  The serving daemon points this at the job's cancel
+  /// flag.
   std::function<bool()> should_stop;
 };
 
@@ -156,16 +154,9 @@ class MohecoOptimizer {
   MohecoOptimizer(const mc::YieldProblem& problem, MohecoOptions options,
                   mc::EvalScheduler& scheduler);
 
+  /// Runs the optimizer for up to options.max_generations generations.
+  /// Leaves no job pending on the scheduler, also when it throws.
   MohecoResult run();
-
-  /// Runs only the population initialization and one DE generation, then
-  /// returns.  Used by the Fig. 3 bench to inspect a "typical population".
-  MohecoResult run_generations(int generations);
-
-  /// The run-wide evaluation scheduler.  Exposed so drivers can persist the
-  /// warm-start blob store across runs (EvalScheduler::export_blobs /
-  /// import_blobs through a ResultsCache); call only outside run().
-  mc::EvalScheduler& scheduler() { return *scheduler_; }
 
  private:
   struct Evaluated {
@@ -178,7 +169,9 @@ class MohecoOptimizer {
   /// initial population), then estimates the feasible ones together with
   /// the feasible current population members (the generation's OO candidate
   /// pool).  Updates population fitnesses in place and appends OCBA
-  /// bookkeeping to `trace` when non-null.
+  /// bookkeeping to `trace` when non-null.  The returned fitnesses and the
+  /// population's are the stage-1/OCBA estimates; the stage-2 samples have
+  /// landed in the tallies when it returns.
   std::vector<Evaluated> evaluate_batch(
       const std::vector<std::vector<double>>& xs, GenerationTrace* trace);
 
@@ -188,10 +181,9 @@ class MohecoOptimizer {
 
   void init_bounds(const mc::YieldProblem& problem);
   std::size_t best_index() const;
-  /// Checkpoint-mode generation boundary: drains the deferred stage-2
-  /// batches and atomically writes the full run state, with a snapshot of
-  /// the scheduler's blob store (EvalScheduler::export_blobs), to
-  /// options_.checkpoint_dir.
+  /// Checkpoint-mode generation boundary: atomically writes the full run
+  /// state, with a snapshot of the scheduler's blob store
+  /// (EvalScheduler::export_blobs), to options_.checkpoint_dir.
   void write_checkpoint(int generation, bool done, const MohecoResult& result,
                         double best_scalar, int stagnant_ls,
                         int stagnant_stop);
@@ -202,11 +194,9 @@ class MohecoOptimizer {
                               int& stagnant_ls, int& stagnant_stop,
                               int& start_gen, bool& loop_done);
   /// Folds each surviving member's tally back into its fitness/samples.
-  /// Must run after every flush point that can land deferred stage-2
-  /// samples, or selection would read stale yields.
   void refresh_population_fitness();
   void local_search(Member& best, GenerationTrace* trace);
-  MohecoResult run_impl(int max_generations);
+  MohecoResult run_impl();
 
   const mc::YieldProblem* problem_;
   MohecoOptions options_;

@@ -248,14 +248,7 @@ void EvalScheduler::enqueue_screen(CandidateYield& tally) {
   pending_.push_back(std::move(job));
 }
 
-void EvalScheduler::retain(std::shared_ptr<CandidateYield> tally) {
-  if (tally) retained_.push_back(std::move(tally));
-}
-
-void EvalScheduler::discard_pending() {
-  pending_.clear();
-  retained_.clear();
-}
+void EvalScheduler::discard_pending() { pending_.clear(); }
 
 int EvalScheduler::preferred_worker(const CandidateYield& tally,
                                     std::vector<long long>& load,
@@ -281,10 +274,7 @@ int EvalScheduler::preferred_worker(const CandidateYield& tally,
 }
 
 void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
-  if (pending_.empty()) {
-    retained_.clear();
-    return;
-  }
+  if (pending_.empty()) return;
   obs::Span flush_span("sched.flush",
                        static_cast<std::int64_t>(pending_.size()));
   static obs::Histogram& flush_us =
@@ -396,7 +386,6 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
     // Pool-infrastructure failure (evaluation errors are contained per job
     // above): drop the whole job set untallied, keep the scheduler usable.
     pending_.clear();
-    retained_.clear();
     throw;
   }
 
@@ -513,7 +502,6 @@ void EvalScheduler::flush(SimCounter& sims, SimPhase phase) {
     c_flushes.add(1);
   }
   pending_.clear();
-  retained_.clear();
 }
 
 void EvalScheduler::screen(std::span<CandidateYield* const> candidates,

@@ -11,8 +11,8 @@
 //     and flush() once.  The whole round becomes one chunked job set drained
 //     by the pool with no per-candidate barriers; the chunk size follows
 //     from the round's sample count and the worker count.  Nominal screens
-//     are jobs too (enqueue_screen), so a deferred stage-2 batch of
-//     generation g and the screens of generation g+1 run as ONE job set.
+//     are jobs too (enqueue_screen), so a generation's screens run as ONE
+//     job set.
 //   - Session caching: sessions live in per-worker LRU caches keyed by
 //     candidate id.  Peak live sessions are bounded by
 //     sessions_per_worker x workers no matter how many candidates are in
@@ -81,9 +81,9 @@ class EvalScheduler {
   /// Queues `count` fresh samples of `tally`'s stream for the next flush().
   /// The batch is drawn immediately (the stream position is consumed at
   /// enqueue time), so results do not depend on flush scheduling.  The
-  /// tally must stay alive until the flush (see retain()).  `phase` is the
-  /// budget phase the batch is counted under; kOther defers to the phase
-  /// passed to flush().  No-op when count <= 0.
+  /// tally must stay alive until the flush.  `phase` is the budget phase
+  /// the batch is counted under; kOther defers to the phase passed to
+  /// flush().  No-op when count <= 0.
   void enqueue(CandidateYield& tally, long long count, const McOptions& options,
                SimPhase phase = SimPhase::kOther);
 
@@ -95,17 +95,8 @@ class EvalScheduler {
 
   /// Queues the nominal acceptance-sampling screen of `tally` for the next
   /// flush() (no-op when already screened).  Screens ride in the same job
-  /// set as sample batches, which is what lets the optimizer overlap the
-  /// previous generation's deferred stage-2 flush with the next
-  /// generation's screens.
+  /// set as any sample batches queued alongside them.
   void enqueue_screen(CandidateYield& tally);
-
-  /// Keeps `tally` alive until the end of the next flush() (or
-  /// discard_pending()).  Callers that defer a flush across an ownership
-  /// boundary -- e.g. the optimizer's pipelined loop, where a losing
-  /// candidate can be dropped while its stage-2 batch is still pending --
-  /// must retain the candidates they enqueued.
-  void retain(std::shared_ptr<CandidateYield> tally);
 
   /// Evaluates every queued job as one pool-wide chunked job set, updates
   /// the tallies, and counts batch samples under their enqueue phase (jobs
@@ -123,16 +114,15 @@ class EvalScheduler {
   void flush(SimCounter& sims, SimPhase phase = SimPhase::kOther);
 
   /// Drops every queued job untallied (their stream positions stay
-  /// consumed) and releases retained candidates.  Used when abandoning a
-  /// deferred job set, e.g. when an optimizer run is restarted.
+  /// consumed).  Used when abandoning a job set, e.g. when an optimizer run
+  /// throws between an enqueue and its flush.
   void discard_pending();
 
   /// True when jobs are queued for the next flush().
   bool has_pending() const { return !pending_.empty(); }
 
   /// Batched nominal screens: enqueue_screen() + flush() for a candidate
-  /// set.  Note this also drains any other pending jobs in the same job
-  /// set (the optimizer's deferred stage-2 batches).
+  /// set (any other pending jobs run in the same job set).
   void screen(std::span<CandidateYield* const> candidates, SimCounter& sims);
 
   /// enqueue() + flush() for a single candidate, for callers outside
@@ -265,7 +255,6 @@ class EvalScheduler {
   SchedulerOptions options_;
   std::vector<WorkerCache> caches_;
   std::vector<PendingJob> pending_;
-  std::vector<std::shared_ptr<CandidateYield>> retained_;
   std::unordered_map<std::uint64_t, int> preferred_;
 
   /// Serializes whole job sets (flush, for_each) against blob-store

@@ -50,10 +50,9 @@ struct TwoStageOptions {
 ///
 /// With flush_stage2 = false the stage-2 batches are enqueued (streams
 /// consumed, promotion decided) but left pending on the scheduler, so the
-/// caller can overlap their evaluation with independent work -- the
-/// optimizer merges them with the next generation's nominal screens.  The
-/// caller then owns keeping the promoted candidates alive until the next
-/// flush (EvalScheduler::retain) and flushing before reading their tallies.
+/// caller can read the stage-1/OCBA estimates first -- the optimizer's Deb
+/// selection compares those.  The caller must flush while the promoted
+/// candidates are still alive.
 std::vector<std::size_t> two_stage_estimate(
     std::span<CandidateYield* const> candidates, const TwoStageOptions& options,
     EvalScheduler& scheduler, SimCounter& sims, bool flush_stage2 = true);

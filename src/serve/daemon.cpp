@@ -271,11 +271,6 @@ bool Daemon::running() const {
          !stop_requested_.load(std::memory_order_acquire);
 }
 
-DaemonStats Daemon::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
 const char* Daemon::to_string(JobState state) {
   switch (state) {
     case JobState::kQueued: return "queued";

@@ -91,7 +91,7 @@ struct DaemonOptions {
   long long metrics_interval_ms = 5000;
 };
 
-/// Monotonic counters; snapshot with Daemon::stats().
+/// Monotonic counters, reported by the "stats" op.
 struct DaemonStats {
   long long connections = 0;
   long long bad_requests = 0;
@@ -137,8 +137,6 @@ class Daemon {
   /// Actual TCP port (resolves an ephemeral request), -1 when disabled.
   int tcp_port() const { return tcp_port_; }
   const std::string& socket_path() const { return options_.socket_path; }
-
-  DaemonStats stats() const;
 
  private:
   enum class JobState { kQueued, kRunning, kDone, kFailed, kCancelled };

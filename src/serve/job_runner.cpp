@@ -47,7 +47,7 @@ std::string result_fingerprint(const JobSpec& spec, int workers) {
   // deck_name is part of the fingerprint because it shapes the result JSON
   // ("deck" field); unlike the warm key, an exact-repeat hit must replay
   // the SAME bytes the fresh run would emit.
-  oss << "res2 name=" << spec.deck_name
+  oss << "res3 name=" << spec.deck_name
       << " mode=" << to_string(spec.mode) << " seed=" << m.seed
       << " sampling=" << stats::to_string(m.estimation.mc.sampling) << ' '
       << warm_fingerprint(spec)

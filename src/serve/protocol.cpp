@@ -96,14 +96,6 @@ bool decode_submit(const JsonValue& request, JobSpec* spec, std::string* tag,
       m.fixed_budget = static_cast<int>(value.as_int());
     } else if (key == "use_memetic") {
       m.use_memetic = value.as_bool();
-    } else if (key == "overlap") {
-      // Retired option (generations are always pipelined): older codecs
-      // sent it on every submit, so a boolean is accepted and ignored for
-      // one release.
-      if (!value.is_bool()) {
-        *error = "options.overlap must be a boolean";
-        return false;
-      }
     } else if (key == "estimate_samples") {
       spec->estimate_samples = value.as_int();
       if (spec->estimate_samples <= 0) {
@@ -112,16 +104,6 @@ bool decode_submit(const JsonValue& request, JobSpec* spec, std::string* tag,
       }
     } else if (key == "transient") {
       spec->eval.transient = value.as_bool();
-    } else if (key == "batch") {
-      // Retired option (every sample runs the scalar path): older codecs
-      // sent it on every submit, so the old valid widths are accepted and
-      // ignored for one release.
-      const long long width = value.as_int(-1);
-      if (!value.is_number() || width < 0 || width > 64 ||
-          value.as_number() != static_cast<double>(width)) {
-        *error = "options.batch must be an integer between 0 and 64";
-        return false;
-      }
     } else if (key == "sized_deck") {
       spec->want_sized_deck = value.as_bool();
     } else if (key == "deadline_ms") {

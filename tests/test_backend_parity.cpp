@@ -124,6 +124,14 @@ void expect_ac_matches(
   }
 }
 
+/// `prefix` followed by decimal `k`, built by appending: gcc 12 at -O3
+/// reports a false -Wrestrict on a literal + std::string rvalue.
+std::string indexed(const char* prefix, int k) {
+  std::string name = prefix;
+  name += std::to_string(k);
+  return name;
+}
+
 /// Random connected resistor network with current-source drives: a chain
 /// guarantees connectivity, extra random edges give the pattern genuine
 /// off-band structure.
@@ -133,14 +141,14 @@ Netlist random_conductance_network(int nodes, int extra_edges,
   Netlist netlist;
   std::vector<NodeId> ids(static_cast<std::size_t>(nodes));
   for (int i = 0; i < nodes; ++i) {
-    ids[static_cast<std::size_t>(i)] = netlist.node("n" + std::to_string(i));
+    ids[static_cast<std::size_t>(i)] = netlist.node(indexed("n", i));
   }
   auto rand_node = [&]() {
     return ids[static_cast<std::size_t>(rng.uniform() * nodes) % nodes];
   };
   netlist.add_resistor("rg0", ids[0], 0, 1e3 * (0.5 + rng.uniform()));
   for (int i = 1; i < nodes; ++i) {
-    netlist.add_resistor("rc" + std::to_string(i),
+    netlist.add_resistor(indexed("rc", i),
                          ids[static_cast<std::size_t>(i - 1)],
                          ids[static_cast<std::size_t>(i)],
                          1e3 * (0.5 + rng.uniform()));
@@ -149,17 +157,17 @@ Netlist random_conductance_network(int nodes, int extra_edges,
     NodeId a = rand_node();
     NodeId b = rand_node();
     if (a == b) b = 0;
-    netlist.add_resistor("re" + std::to_string(e), a, b,
+    netlist.add_resistor(indexed("re", e), a, b,
                          1e3 * (0.5 + rng.uniform()));
     // A capacitor on a subset of the extra edges exercises the complex
     // (AC) path with off-diagonal reactive stamps.
     if (e % 3 == 0) {
-      netlist.add_capacitor("ce" + std::to_string(e), a, b,
+      netlist.add_capacitor(indexed("ce", e), a, b,
                             1e-12 * (0.5 + rng.uniform()));
     }
   }
   for (int s = 0; s < std::max(1, nodes / 8); ++s) {
-    netlist.add_isource("i" + std::to_string(s), rand_node(), 0,
+    netlist.add_isource(indexed("i", s), rand_node(), 0,
                         1e-3 * (rng.uniform() - 0.5), /*ac_mag=*/1e-3);
   }
   return netlist;

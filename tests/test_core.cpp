@@ -87,15 +87,15 @@ TEST(Moheco, OcbaUsesFewerSimsThanFixedBudget) {
   // (its payoff -- fewer generations to converge -- is measured end-to-end
   // by the benches, as in the paper).
   moheco_options.use_memetic = false;
-  const MohecoResult moheco =
-      MohecoOptimizer(problem, moheco_options).run_generations(6);
+  moheco_options.max_generations = 6;
+  const MohecoResult moheco = MohecoOptimizer(problem, moheco_options).run();
 
   MohecoOptions fixed_options = fast_options(11);
   fixed_options.use_ocba = false;
   fixed_options.use_memetic = false;
   fixed_options.fixed_budget = 150;
-  const MohecoResult fixed =
-      MohecoOptimizer(problem, fixed_options).run_generations(6);
+  fixed_options.max_generations = 6;
+  const MohecoResult fixed = MohecoOptimizer(problem, fixed_options).run();
 
   ASSERT_TRUE(moheco.best.fitness.feasible);
   ASSERT_TRUE(fixed.best.fitness.feasible);
@@ -129,10 +129,11 @@ TEST(Moheco, ReportedBestHasAccurateSampleCount) {
   EXPECT_GE(result.best.samples, options.estimation.n_max);
 }
 
-TEST(Moheco, RunGenerationsStopsEarly) {
+TEST(Moheco, MaxGenerationsCapsTheRun) {
   const auto problem = make_problem();
-  MohecoOptimizer optimizer(problem, fast_options(41));
-  const MohecoResult result = optimizer.run_generations(2);
+  MohecoOptions options = fast_options(41);
+  options.max_generations = 2;
+  const MohecoResult result = MohecoOptimizer(problem, options).run();
   EXPECT_LE(result.generations, 2);
   EXPECT_EQ(result.trace.size(), 3u);  // init + 2 generations
 }

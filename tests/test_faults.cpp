@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/circuits/netlist_problem.hpp"
 #include "src/common/error.hpp"
 #include "src/common/failpoint.hpp"
 #include "src/common/failure_ladder.hpp"
@@ -33,6 +35,7 @@
 #include "src/serve/daemon.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/spice/mna.hpp"
+#include "src/spice/netlist_format.hpp"
 
 namespace moheco {
 namespace {
@@ -434,9 +437,12 @@ TEST(Checkpoint, GarbageAndTruncationThrowInsteadOfMisparse) {
   EXPECT_THROW(core::load_checkpoint(dir2.path()), Error);
 }
 
-TEST(Checkpoint, VersionOneIsRefusedOnLoad) {
-  // A version-1 file is a version-2 file plus a "sched" counter line after
-  // "sims"; the loader must refuse it rather than parse around the line.
+TEST(Checkpoint, OlderVersionsAreRefusedOnLoad) {
+  // A version-2 file has this layout but folded stage-2 samples into the
+  // member fitnesses, so resuming it would leave the plain run's
+  // trajectory.  A version-1 file is a version-2 file plus a "sched"
+  // counter line after "sims".  The loader must refuse both rather than
+  // parse around them.
   TempDir dir;
   core::Checkpoint ck;
   ck.dim = 1;
@@ -444,19 +450,24 @@ TEST(Checkpoint, VersionOneIsRefusedOnLoad) {
   std::ifstream in(dir.file("checkpoint.txt"));
   std::stringstream whole;
   whole << in.rdbuf();
-  std::string text = whole.str();
+  const std::string text = whole.str();
   const std::string header =
       "moheco-ckpt " + std::to_string(core::kCheckpointVersion) + "\n";
   ASSERT_EQ(text.rfind(header, 0), 0u);
-  text.replace(0, header.size(), "moheco-ckpt 1\n");
-  const std::size_t fails_line = text.find("\nfails ");
+  const std::string rest = text.substr(header.size());
+  const auto refused = [&dir](const std::string& body) {
+    {
+      std::ofstream out(dir.file("checkpoint.txt"), std::ios::trunc);
+      out << body;
+    }
+    EXPECT_THROW(core::load_checkpoint(dir.path()), Error);
+  };
+  refused(std::string("moheco-ckpt 2\n") + rest);
+  std::string v1 = std::string("moheco-ckpt 1\n") + rest;
+  const std::size_t fails_line = v1.find("\nfails ");
   ASSERT_NE(fails_line, std::string::npos);
-  text.insert(fails_line, "\nsched 3 1 0 2 1 0");
-  {
-    std::ofstream out(dir.file("checkpoint.txt"), std::ios::trunc);
-    out << text;
-  }
-  EXPECT_THROW(core::load_checkpoint(dir.path()), Error);
+  v1.insert(fails_line, "\nsched 3 1 0 2 1 0");
+  refused(v1);
 }
 
 TEST(Checkpoint, ResumeReproducesTheUninterruptedRunBitForBit) {
@@ -550,6 +561,37 @@ TEST(Checkpoint, ArmedOneThreadRunEqualsTheUncheckpointedRun) {
   EXPECT_EQ(checkpointed.best.fitness.yield, plain.best.fitness.yield);
   EXPECT_EQ(checkpointed.best.samples, plain.best.samples);
   EXPECT_EQ(checkpointed.generations, plain.generations);
+}
+
+TEST(Checkpoint, HealthyOcbaRunEqualsTheUncheckpointedRun) {
+  // The paper's settings on the example deck: these seeds promote
+  // candidates to stage 2 in generation 0.  A checkpoint must not fold
+  // those samples into the population early, or generation 1 picks a
+  // different DE base vector.
+  const circuits::NetlistYieldProblem problem(spice::parse_deck_file(
+      std::string(MOHECO_SOURCE_DIR) + "/examples/five_t_ota.cir"));
+  for (const std::uint64_t seed : {5, 6, 8}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const auto run = [&problem, seed](const std::string& checkpoint_dir) {
+      core::MohecoOptions options;
+      options.threads = 2;
+      options.seed = seed;
+      options.checkpoint_dir = checkpoint_dir;
+      return core::MohecoOptimizer(problem, options).run();
+    };
+    const core::MohecoResult plain = run("");
+    TempDir dir;
+    const core::MohecoResult checkpointed = run(dir.path());
+    ASSERT_TRUE(core::load_checkpoint(dir.path()).has_value());
+
+    EXPECT_GT(plain.sim_breakdown.stage2, 0);
+    EXPECT_EQ(checkpointed.best.x, plain.best.x);
+    EXPECT_EQ(checkpointed.best.fitness.yield, plain.best.fitness.yield);
+    EXPECT_EQ(checkpointed.best.samples, plain.best.samples);
+    EXPECT_EQ(checkpointed.sim_breakdown, plain.sim_breakdown);
+    EXPECT_EQ(checkpointed.fail_breakdown, plain.fail_breakdown);
+    EXPECT_EQ(checkpointed.generations, plain.generations);
+  }
 }
 
 TEST(Checkpoint, ResumeRejectsAMismatchedRunShape) {

@@ -101,8 +101,10 @@ TEST(Integration, PmcSamplingAlsoWorksEndToEnd) {
 TEST(Integration, FeasibleCandidatesGetViolationZero) {
   circuits::CircuitYieldProblem problem(
       circuits::make_five_transistor_ota());
-  core::MohecoOptimizer optimizer(problem, ota_options(10));
-  const core::MohecoResult result = optimizer.run_generations(2);
+  core::MohecoOptions options = ota_options(10);
+  options.max_generations = 2;
+  const core::MohecoResult result =
+      core::MohecoOptimizer(problem, options).run();
   for (const auto& g : result.trace) {
     for (const auto& [yield, samples] : g.estimated) {
       EXPECT_GE(yield, 0.0);

@@ -134,8 +134,8 @@ TEST(NetlistYieldProblem, OptimizerRunsAreIdentical) {
   options.threads = 4;
   core::MohecoOptimizer deck_opt(deck_problem, options);
   core::MohecoOptimizer builtin_opt(builtin, options);
-  const core::MohecoResult a = deck_opt.run_generations(2);
-  const core::MohecoResult b = builtin_opt.run_generations(2);
+  const core::MohecoResult a = deck_opt.run();
+  const core::MohecoResult b = builtin_opt.run();
   EXPECT_EQ(a.best.x, b.best.x);
   EXPECT_EQ(a.best.fitness.yield, b.best.fitness.yield);
   EXPECT_EQ(a.best.samples, b.best.samples);

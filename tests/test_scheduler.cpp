@@ -1,7 +1,8 @@
 // Generation-wide EvalScheduler: scheduling determinism, equivalence with
 // the per-candidate refinement path, session-cache bounds, sticky affinity
-// accounting, warm-start blob round-trips, the pipelined optimizer loop
-// across thread counts, and the ThreadPool's sharded claiming.
+// accounting, warm-start blob round-trips, the optimizer loop across
+// thread counts (leaving nothing pending, also when it throws), and the
+// ThreadPool's sharded claiming.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -765,20 +766,6 @@ TEST(EvalScheduler, MergedFlushRunsScreensAndBatchesTogether) {
   EXPECT_TRUE(b.nominal_feasible());
 }
 
-TEST(EvalScheduler, RetainKeepsDroppedCandidatesAliveUntilFlush) {
-  const QuadraticYieldProblem problem(2, 4, 1.0, 0.5);
-  ThreadPool pool(2);
-  EvalScheduler scheduler(pool);
-  SimCounter sims;
-  auto c = std::make_shared<CandidateYield>(
-      problem, std::vector<double>{0.1, 0.2}, 33);
-  scheduler.enqueue(*c, 30, McOptions{}, SimPhase::kStage2);
-  scheduler.retain(c);
-  c.reset();  // the scheduler's keep-alive is now the only owner
-  scheduler.flush(sims);  // ASan would catch a dangling tally here
-  EXPECT_EQ(sims.phase_total(SimPhase::kStage2), 30);
-}
-
 TEST(EvalScheduler, DiscardPendingDropsJobsUntallied) {
   const QuadraticYieldProblem problem(2, 4, 1.0, 0.5);
   ThreadPool pool(2);
@@ -819,7 +806,7 @@ TEST(ReferenceYield, SchedulerOverloadMatchesPoolOverload) {
   EXPECT_GT(scheduler.session_hits(), 0);
 }
 
-// --- Pipelined optimizer loop -----------------------------------------------
+// --- Optimizer loop ----------------------------------------------------------
 
 struct OptimizerFingerprint {
   std::vector<double> best_x;
@@ -837,10 +824,15 @@ OptimizerFingerprint run_optimizer(int threads, std::uint64_t seed) {
   options.estimation.n0 = 10;
   options.estimation.sim_avg = 20;
   options.estimation.n_max = 80;
-  options.threads = threads;
+  options.max_generations = 5;
   options.seed = seed;
+  ThreadPool pool(threads);
+  EvalScheduler scheduler(pool);
   const core::MohecoResult result =
-      core::MohecoOptimizer(problem, options).run_generations(5);
+      core::MohecoOptimizer(problem, options, scheduler).run();
+  // Every generation lands its own stage-2 batches: nothing is left for
+  // the scheduler's next user.
+  EXPECT_FALSE(scheduler.has_pending());
   OptimizerFingerprint fp;
   fp.best_x = result.best.x;
   fp.best_samples = result.best.samples;
@@ -853,9 +845,8 @@ OptimizerFingerprint run_optimizer(int threads, std::uint64_t seed) {
 }
 
 TEST(MohecoPipeline, BitIdenticalAcrossThreadCounts) {
-  // The pipelined loop (stage-2 of generation g merged with the screens of
-  // g+1) gives the same best vector, budget split and per-generation sim
-  // trace at every thread count.
+  // The optimizer loop gives the same best vector, budget split and
+  // per-generation sim trace at every thread count.
   const OptimizerFingerprint reference = run_optimizer(1, 7);
   EXPECT_GT(reference.stage2, 0);  // the workload must actually promote
   int hardware = static_cast<int>(std::thread::hardware_concurrency());
@@ -863,6 +854,55 @@ TEST(MohecoPipeline, BitIdenticalAcrossThreadCounts) {
   for (int threads : {2, hardware}) {
     EXPECT_EQ(run_optimizer(threads, 7), reference) << "threads=" << threads;
   }
+}
+
+/// Delegates to `inner`, but the `throw_at`-th noise_dim() call made on the
+/// constructing thread throws.  Pool workers are other threads, so only an
+/// enqueue (which draws the batch) can hit it: the run throws between an
+/// enqueue and its flush.
+class ThrowingEnqueueProblem final : public YieldProblem {
+ public:
+  ThrowingEnqueueProblem(const YieldProblem& inner, int throw_at)
+      : inner_(inner), throw_at_(throw_at) {}
+  std::size_t num_design_vars() const override {
+    return inner_.num_design_vars();
+  }
+  double lower_bound(std::size_t i) const override {
+    return inner_.lower_bound(i);
+  }
+  double upper_bound(std::size_t i) const override {
+    return inner_.upper_bound(i);
+  }
+  std::size_t noise_dim() const override {
+    if (std::this_thread::get_id() == owner_ && ++calls_ == throw_at_) {
+      throw Error("noise_dim failed");
+    }
+    return inner_.noise_dim();
+  }
+  std::unique_ptr<Session> open(std::span<const double> x) const override {
+    return inner_.open(x);
+  }
+
+ private:
+  const YieldProblem& inner_;
+  int throw_at_;
+  std::thread::id owner_ = std::this_thread::get_id();
+  mutable int calls_ = 0;
+};
+
+TEST(MohecoPipeline, ThrowingRunLeavesNothingPending) {
+  // The second stage-1 pilot enqueue of the initial population throws with
+  // the first one queued; run() must drop it, so a shared scheduler's next
+  // user does not flush jobs of destroyed candidates.
+  const QuadraticYieldProblem inner(2, 4, 1.0, 0.4);
+  const ThrowingEnqueueProblem problem(inner, 2);
+  core::MohecoOptions options;
+  options.population = 10;
+  ThreadPool pool(2);
+  EvalScheduler scheduler(pool);
+  EXPECT_THROW(core::MohecoOptimizer(problem, options, scheduler).run(),
+               Error);
+  EXPECT_FALSE(scheduler.has_pending());
 }
 
 // --- Per-phase accounting -------------------------------------------------

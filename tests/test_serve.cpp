@@ -3,7 +3,7 @@
 // fingerprints), and a live in-process Daemon + ServeClient over a
 // Unix-domain socket / loopback TCP: the CLI-vs-daemon byte-identity gate,
 // result-cache hits (in memory and across a restart), warm-blob near
-// misses, finished jobs' checkpoint cleanup, bounded admission,
+// misses, checkpointed jobs' plain bytes and cleanup, bounded admission,
 // queued/running cancellation, per-client round-robin fairness, and the
 // shutdown op.
 #include <gtest/gtest.h>
@@ -230,52 +230,6 @@ TEST(Protocol, SubmitCodecRoundTrips) {
   EXPECT_EQ(warm_cache_key(decoded), warm_cache_key(spec));
 }
 
-TEST(Protocol, LegacyOptionsAreAcceptedAndIgnored) {
-  // "batch" selected a sample-batch width and "overlap" switched generation
-  // pipelining off, neither of which exists any more: old clients still
-  // decode, to exactly the job a submit without the key runs.
-  const auto decode = [](const std::string& line) {
-    const std::optional<JsonValue> parsed = parse_json(line);
-    EXPECT_TRUE(parsed.has_value()) << line;
-    JobSpec spec;
-    std::string tag;
-    std::string error;
-    EXPECT_TRUE(decode_submit(*parsed, &spec, &tag, &error)) << error;
-    return spec;
-  };
-  for (const std::string mode : {"estimate", "optimize"}) {
-    const std::string head = "{\"op\":\"submit\",\"mode\":\"" + mode +
-                             "\",\"deck\":\"x\",\"options\":{\"seed\":5";
-    const JobSpec plain = decode(head + "}}");
-    for (const char* legacy_key : {",\"batch\":8", ",\"overlap\":false"}) {
-      const JobSpec legacy = decode(head + legacy_key + "}}");
-      EXPECT_EQ(result_fingerprint(legacy, 2), result_fingerprint(plain, 2))
-          << mode << legacy_key;
-      EXPECT_EQ(warm_cache_key(legacy), warm_cache_key(plain))
-          << mode << legacy_key;
-    }
-    // The codec no longer emits either key.
-    EXPECT_EQ(encode_submit(plain, "").find("batch"), std::string::npos);
-    EXPECT_EQ(encode_submit(plain, "").find("overlap"), std::string::npos);
-  }
-  // Values the old validators refused are still bad requests.
-  const std::string prefix =
-      "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
-      "\"options\":{\"seed\":5";
-  const std::pair<const char*, const char*> bad_values[] = {
-      {",\"batch\":65", "options.batch"},
-      {",\"overlap\":1", "options.overlap"}};
-  for (const auto& [bad, key] : bad_values) {
-    const std::optional<JsonValue> parsed = parse_json(prefix + bad + "}}");
-    ASSERT_TRUE(parsed.has_value());
-    JobSpec spec;
-    std::string tag;
-    std::string error;
-    EXPECT_FALSE(decode_submit(*parsed, &spec, &tag, &error)) << bad;
-    EXPECT_NE(error.find(key), std::string::npos) << error;
-  }
-}
-
 TEST(Protocol, SubmitDecodeIsStrict) {
   JobSpec spec;
   std::string tag;
@@ -307,16 +261,21 @@ TEST(Protocol, SubmitDecodeIsStrict) {
   fails(
       "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
       "\"options\":{\"sampling\":\"sobol\"}}");
-  // "backend" is retired: every value, the once-valid ones included, is an
-  // unknown key now.
+  // Retired options are unknown keys: every value, the once-valid ones
+  // included, is a bad request naming the key.
   fails(
       "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
       "\"options\":{\"backend\":\"gpu\"}}");
-  fails(
-      "{\"op\":\"submit\",\"mode\":\"estimate\",\"deck\":\"x\","
-      "\"options\":{\"backend\":\"dense\"}}");
-  EXPECT_NE(error.find("unknown option 'backend'"), std::string::npos)
-      << error;
+  const std::pair<const char*, const char*> retired[] = {
+      {"\"backend\":\"dense\"", "unknown option 'backend'"},
+      {"\"batch\":8", "unknown option 'batch'"},
+      {"\"overlap\":false", "unknown option 'overlap'"}};
+  for (const auto& [option, message] : retired) {
+    fails(std::string("{\"op\":\"submit\",\"mode\":\"optimize\","
+                      "\"deck\":\"x\",\"options\":{") +
+          option + "}}");
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+  }
   fails(
       "{\"op\":\"submit\",\"mode\":\"optimize\",\"deck\":\"x\","
       "\"options\":{\"population\":2}}");
@@ -450,28 +409,37 @@ TEST(Daemon, ResultAndWarmCachesSurviveARestart) {
   EXPECT_EQ(stats["warm_hit_jobs"].as_int(), 1);
 }
 
-TEST(Daemon, FinishedOptimizeJobRemovesItsCheckpointDirectory) {
+TEST(Daemon, CheckpointedOptimizeJobServesPlainBytesAndCleansUp) {
+  // A checkpointed job shares the result-cache row of a plain run, so it
+  // must emit that run's bytes.  Seed 5 at the default options promotes
+  // candidates to stage 2 in generation 0, where a checkpoint that folded
+  // them in early would change generation 1's DE base vector.
   const std::string deck = read_file(example_deck_path());
-  TempDir dir;
-  DaemonOptions options;
-  options.socket_path = dir.file("d.sock");
-  options.threads = 1;
-  options.checkpoint_dir = dir.file("checkpoints");
-  Daemon daemon(options);
-  daemon.start();
   JobSpec spec;
   spec.deck_name = "five_t_ota.cir";
   spec.deck_text = deck;
   spec.mode = JobMode::kOptimize;
-  spec.moheco.seed = 3;
-  spec.moheco.population = 6;
-  spec.moheco.max_generations = 2;
+  spec.moheco.seed = 5;
+  ThreadPool local_pool(1);
+  JobRunner local(local_pool);
+  const JobResult reference = local.run(spec);
+  ASSERT_TRUE(reference.ok) << reference.error;
+
+  TempDir dir;
+  DaemonOptions options;
+  options.socket_path = dir.file("d.sock");
+  options.threads = 2;
+  options.checkpoint_dir = dir.file("checkpoints");
+  Daemon daemon(options);
+  daemon.start();
   ServeClient client;
   client.connect(options.socket_path);
   client.send(encode_submit(spec, ""));
   const JsonValue done = read_terminal(client);
   ASSERT_TRUE(done["ok"].as_bool());
   EXPECT_EQ(done["state"].as_string(), "done");
+  EXPECT_FALSE(done["cached"].as_bool(true));
+  EXPECT_EQ(done["result"].raw(), reference.json);
   // The job checkpointed under its own DIR/<deck>_<fingerprint>/, which
   // went away with the stored result; the root stays.
   EXPECT_TRUE(std::filesystem::is_directory(options.checkpoint_dir));

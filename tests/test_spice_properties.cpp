@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "src/spice/ac_solver.hpp"
@@ -14,6 +15,14 @@
 
 namespace moheco::spice {
 namespace {
+
+/// `prefix` followed by decimal `k`, built by appending: gcc 12 at -O3
+/// reports a false -Wrestrict on a literal + std::string rvalue.
+std::string indexed(const char* prefix, int k) {
+  std::string name = prefix;
+  name += std::to_string(k);
+  return name;
+}
 
 MosModel property_nmos() {
   MosModel m;
@@ -121,14 +130,14 @@ TEST_P(RandomLadderTest, KclHoldsAtEveryInternalNode) {
   n.add_vsource("Vtop", nodes[0], 0, 5.0);
   std::vector<double> series_r, shunt_r;
   for (int i = 1; i <= rungs; ++i) {
-    nodes.push_back(n.node("n" + std::to_string(i)));
+    nodes.push_back(n.node(indexed("n", i)));
     series_r.push_back(rng.uniform(1e2, 1e5));
     shunt_r.push_back(rng.uniform(1e3, 1e6));
-    n.add_resistor("Rs" + std::to_string(i), nodes[i - 1], nodes[i],
+    n.add_resistor(indexed("Rs", i), nodes[i - 1], nodes[i],
                    series_r.back());
-    n.add_resistor("Rp" + std::to_string(i), nodes[i], 0, shunt_r.back());
+    n.add_resistor(indexed("Rp", i), nodes[i], 0, shunt_r.back());
     if (i % 3 == 0) {
-      n.add_isource("I" + std::to_string(i), 0, nodes[i],
+      n.add_isource(indexed("I", i), 0, nodes[i],
                     rng.uniform(-1e-3, 1e-3));
     }
   }
@@ -220,10 +229,10 @@ TEST_P(TranLadderTest, AdaptiveAgreesWithFineFixedStep) {
   n.add_pulse_vsource("Vin", nodes[0], 0, 0.0, rng.uniform(0.5, 3.0),
                       /*td=*/0.2e-6, /*tr=*/1e-9, /*tf=*/1e-9, /*pw=*/1.0);
   for (int i = 1; i <= rungs; ++i) {
-    nodes.push_back(n.node("n" + std::to_string(i)));
-    n.add_resistor("Rs" + std::to_string(i), nodes[i - 1], nodes[i],
+    nodes.push_back(n.node(indexed("n", i)));
+    n.add_resistor(indexed("Rs", i), nodes[i - 1], nodes[i],
                    rng.uniform(1e2, 1e4));
-    n.add_capacitor("Cp" + std::to_string(i), nodes[i], 0,
+    n.add_capacitor(indexed("Cp", i), nodes[i], 0,
                     rng.uniform(1e-11, 1e-9));
   }
   TranOptions adaptive_options;
